@@ -220,7 +220,7 @@ fi
 if echo 'int main(){return 0;}' | g++ -x c++ -fsanitize=thread - -o /dev/null 2>/dev/null; then
   echo "== tier 1: TSan build + ctest -L 'gpu|core|dmr' =="
   cmake -B "$TSAN_BUILD" -S . -DMORPH_TSAN=ON
-  cmake --build "$TSAN_BUILD" -j "$JOBS" --target test_gpu test_core test_dmr test_resilience test_sancheck test_sp test_pta test_serve test_incremental
+  cmake --build "$TSAN_BUILD" -j "$JOBS" --target test_gpu test_core test_dmr test_resilience test_sancheck test_sp test_pta test_pts_set test_serve test_incremental
   ctest --test-dir "$TSAN_BUILD" --output-on-failure -j "$JOBS" -L 'gpu|core|dmr'
 else
   echo "== tier 1: libtsan not available; skipping TSan pass =="

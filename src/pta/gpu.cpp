@@ -11,6 +11,8 @@
 // propagation phase reads the round-start points-to image and commits grown
 // sets host-side in deterministic order, and every op charge is computed
 // against pre-phase state (the snapshot-charging rule, DESIGN.md §6.1).
+// Points-to sets are sparse bitmaps (pta/pts_set.hpp) unioned in place;
+// they become sorted id vectors once, at copy-back.
 #include <algorithm>
 #include <mutex>
 #include <optional>
@@ -20,6 +22,7 @@
 #include "gpu/memory.hpp"
 #include "gpu/reduce.hpp"
 #include "gpu/worklist.hpp"
+#include "pta/pts_set.hpp"
 #include "pta/solve.hpp"
 #include "support/status.hpp"
 #include "support/timer.hpp"
@@ -27,19 +30,6 @@
 namespace morph::pta {
 
 namespace {
-
-bool union_into(std::vector<Var>& dst, const std::vector<Var>& src,
-                std::uint64_t* ops) {
-  if (ops) *ops += dst.size() + src.size() + 1;
-  if (src.empty()) return false;
-  std::vector<Var> merged;
-  merged.reserve(dst.size() + src.size());
-  std::set_union(dst.begin(), dst.end(), src.begin(), src.end(),
-                 std::back_inserter(merged));
-  if (merged.size() == dst.size()) return false;
-  dst.swap(merged);
-  return true;
-}
 
 /// Per-node chunked neighbor list backed by device-heap chunks.
 ///
@@ -161,7 +151,7 @@ PtsSets solve_gpu(const ConstraintSet& cs, gpu::Device& dev,
   PtaStats st;
   const std::uint32_t n = cs.num_vars;
 
-  PtsSets pts(n);
+  std::vector<PtsSet> pts(n);
   // No "stale reads" waiver is needed any more: during a propagation launch
   // the points-to sets are frozen (readers see the round-start image) and
   // grown sets are staged and committed host-side in deterministic order
@@ -283,7 +273,7 @@ PtsSets solve_gpu(const ConstraintSet& cs, gpu::Device& dev,
         std::sort(seeds[v].begin(), seeds[v].end());
         seeds[v].erase(std::unique(seeds[v].begin(), seeds[v].end()),
                        seeds[v].end());
-        pts[v] = seeds[v];
+        pts[v] = PtsSet(seeds[v]);
         changed_cur[v] = 1;
         ctx.work(seeds[v].size());
         ctx.global_access(seeds[v].size());
@@ -328,6 +318,7 @@ PtsSets solve_gpu(const ConstraintSet& cs, gpu::Device& dev,
     arena_attempt = 0;
   }
 
+  std::vector<PtsSet> scratch;  // pull phase B: one accumulator per block
   bool progress = true;
   bool full_sweep = false;  // replay all constraints after a pressured round
   while (progress) {
@@ -367,7 +358,7 @@ PtsSets solve_gpu(const ConstraintSet& cs, gpu::Device& dev,
         }
         ctx.global_access();
         std::scoped_lock lock(list_mu);
-        for (Var raw : pts[ptr]) {
+        pts[ptr].for_each([&](Var raw) {
           // With offline cycle elimination, an element acting as a pointer
           // endpoint is represented by its copy-cycle representative.
           const Var v = opts.pointer_rep ? (*opts.pointer_rep)[raw] : raw;
@@ -375,20 +366,20 @@ PtsSets solve_gpu(const ConstraintSet& cs, gpu::Device& dev,
           bool added = false;
           if (c.kind == ConstraintKind::kLoad) {
             // p = *q: edge v -> p.
-            if (v == c.dst) continue;
+            if (v == c.dst) return;
             added = opts.push_based ? insert_edge(v, c.dst, &ops)
                                     : insert_edge(c.dst, v, &ops);
             if (added) touched[opts.push_based ? v : c.dst] = 1;
           } else {
             // *p = q: edge q -> v.
-            if (v == c.src) continue;
+            if (v == c.src) return;
             added = opts.push_based ? insert_edge(c.src, v, &ops)
                                     : insert_edge(v, c.src, &ops);
             if (added) touched[opts.push_based ? c.src : v] = 1;
           }
           ctx.work(ops + 1);
           if (opts.push_based) ctx.atomic_op();
-        }
+        });
       };
       if (sharded) {
         while (auto idx = swl->pop_owned(ctx, lc.blocks)) {
@@ -433,11 +424,15 @@ PtsSets solve_gpu(const ConstraintSet& cs, gpu::Device& dev,
       // node, and the host commits them in ascending node order after the
       // launch. Values, op charges and the grew count are all pure
       // functions of the round-start state, so the phase runs
-      // block-parallel in every mode with no locks at all. The staging
-      // copy is simulation bookkeeping: the modeled union charge is the
-      // same in-place sequence the GPU kernel would execute.
-      std::vector<std::vector<Var>> staged(todo);
+      // block-parallel in every mode with no locks at all. Each block
+      // accumulates into its own scratch set, reused from node to node (a
+      // block's threads run on one host thread); only a grown set is
+      // copied out. The staging is simulation bookkeeping: the modeled
+      // union charge is the same in-place sequence the GPU kernel would
+      // execute.
+      std::vector<PtsSet> staged(todo);
       std::vector<std::uint8_t> grew_at(todo, 0);
+      if (scratch.size() < lc.blocks) scratch.resize(lc.blocks);
       const auto phase_b = [&](gpu::ThreadCtx& ctx) {
         for (std::uint64_t i = ctx.tid(); i < todo; i += T) {
           const Var v = opts.divergence_sort ? active[i]
@@ -453,14 +448,15 @@ PtsSets solve_gpu(const ConstraintSet& cs, gpu::Device& dev,
           }
           bool grew = false;
           std::uint64_t ops = 0;
-          std::vector<Var> acc = pts[v];
+          PtsSet& acc = scratch[ctx.block()];
+          acc = pts[v];
           nbr[v].for_each([&](Var u) {
-            grew |= union_into(acc, pts[u], &ops);
+            grew |= charged_union(acc, pts[u], &ops);
           });
           ctx.work(ops);
           ctx.global_access(nbr[v].size());
           if (grew) {
-            staged[i].swap(acc);
+            staged[i] = acc;
             grew_at[i] = 1;
           }
         }
@@ -471,7 +467,7 @@ PtsSets solve_gpu(const ConstraintSet& cs, gpu::Device& dev,
         if (!grew_at[i]) continue;
         const Var v =
             opts.divergence_sort ? active[i] : static_cast<Var>(i);
-        pts[v].swap(staged[i]);
+        std::swap(pts[v], staged[i]);
         changed_next[v] = 1;
         ++round_grew;
       }
@@ -492,7 +488,7 @@ PtsSets solve_gpu(const ConstraintSet& cs, gpu::Device& dev,
           std::uint64_t ops = 0;
           nbr[u].for_each([&](Var v) {
             ctx.atomic_op();
-            ops += pts[v].size() + pts[u].size() + 1;
+            ops += union_charge(pts[v], pts[u]);
             staged.slot(ctx.block()).push_back(
                 {v, static_cast<Var>(u)});
           });
@@ -503,7 +499,7 @@ PtsSets solve_gpu(const ConstraintSet& cs, gpu::Device& dev,
       dev.launch_phases(lc, std::span<const gpu::Phase>(pb));
       for (std::uint32_t b = 0; b < staged.num_blocks(); ++b) {
         for (const auto& [v, u] : staged.slot(b)) {
-          if (union_into(pts[v], pts[u], nullptr)) {
+          if (pts[v].union_with(pts[u])) {
             changed_next[v] = 1;
             ++round_grew;
           }
@@ -518,11 +514,14 @@ PtsSets solve_gpu(const ConstraintSet& cs, gpu::Device& dev,
     progress = round_added > 0 || round_grew > 0 || full_sweep;
   }
 
+  for (const auto& s : pts) st.pts_total += s.size();
+  PtsSets out = to_vectors(pts);
+
   // Invariant gate under fault campaigns: the survived run must still be a
   // sound fixed point. Checked only when a campaign is armed — the closure
   // walk re-visits every constraint.
   if (dev.faults_armed()) {
-    if (!check_solution(cs, pts, opts.pointer_rep)) {
+    if (!check_solution(cs, out, opts.pointer_rep)) {
       throw FaultError(
           Status(StatusCode::kInvariantViolation,
                  "pta::solve_gpu: recovered solution violates points-to "
@@ -532,14 +531,13 @@ PtsSets solve_gpu(const ConstraintSet& cs, gpu::Device& dev,
   }
 
   // Copy the solution back to the host.
-  for (const auto& s : pts) st.pts_total += s.size();
   dev.note_copy(st.pts_total * sizeof(Var));
 
   st.device_mallocs = dev.stats().device_mallocs;
   st.wall_seconds = timer.seconds();
   st.modeled_cycles = dev.stats().modeled_cycles;
   if (stats) *stats = st;
-  return pts;
+  return out;
 }
 
 }  // namespace morph::pta

@@ -1,50 +1,23 @@
 // Serial reference solver and the multicore (push-based) baseline.
-#include <algorithm>
-
+#include "pta/pts_set.hpp"
 #include "pta/solve.hpp"
 #include "support/timer.hpp"
 
 namespace morph::pta {
 
-namespace {
-
-/// dst |= src (sorted-set union). Returns true if dst grew; adds the
-/// traversal cost to *ops.
-bool union_into(std::vector<Var>& dst, const std::vector<Var>& src,
-                std::uint64_t* ops) {
-  if (ops) *ops += dst.size() + src.size() + 1;
-  if (src.empty()) return false;
-  std::vector<Var> merged;
-  merged.reserve(dst.size() + src.size());
-  std::set_union(dst.begin(), dst.end(), src.begin(), src.end(),
-                 std::back_inserter(merged));
-  if (merged.size() == dst.size()) return false;
-  dst.swap(merged);
-  return true;
-}
-
-bool insert_into(std::vector<Var>& dst, Var v, std::uint64_t* ops) {
-  if (ops) *ops += 1;
-  auto it = std::lower_bound(dst.begin(), dst.end(), v);
-  if (it != dst.end() && *it == v) return false;
-  dst.insert(it, v);
-  return true;
-}
-
-}  // namespace
-
 PtsSets solve_serial(const ConstraintSet& cs, PtaStats* stats) {
   Timer timer;
   PtaStats st;
-  PtsSets pts(cs.num_vars);
+  std::vector<PtsSet> pts(cs.num_vars);
 
   for (const Constraint& c : cs.constraints) {
     if (c.kind == ConstraintKind::kAddressOf) {
-      insert_into(pts[c.dst], c.src, &st.counted_work);
+      st.counted_work += 1;
+      pts[c.dst].insert(c.src);
     }
   }
 
-  std::vector<Var> snapshot;
+  PtsSet snapshot;
   bool changed = true;
   while (changed) {
     changed = false;
@@ -55,43 +28,45 @@ PtsSets solve_serial(const ConstraintSet& cs, PtaStats* stats) {
           break;
         case ConstraintKind::kCopy:
           if (c.dst != c.src) {
-            changed |= union_into(pts[c.dst], pts[c.src], &st.counted_work);
+            changed |=
+                charged_union(pts[c.dst], pts[c.src], &st.counted_work);
           }
           break;
         case ConstraintKind::kLoad:
           // p = *q: pts(p) |= pts(v) for v in pts(q).
           snapshot = pts[c.src];
-          for (Var v : snapshot) {
+          snapshot.for_each([&](Var v) {
             if (v != c.dst) {
-              changed |= union_into(pts[c.dst], pts[v], &st.counted_work);
+              changed |= charged_union(pts[c.dst], pts[v], &st.counted_work);
             }
-          }
+          });
           break;
         case ConstraintKind::kStore:
           // *p = q: pts(v) |= pts(q) for v in pts(p).
           snapshot = pts[c.dst];
-          for (Var v : snapshot) {
+          snapshot.for_each([&](Var v) {
             if (v != c.src) {
-              changed |= union_into(pts[v], pts[c.src], &st.counted_work);
+              changed |= charged_union(pts[v], pts[c.src], &st.counted_work);
             }
-          }
+          });
           break;
       }
     }
   }
 
   for (const auto& s : pts) st.pts_total += s.size();
+  PtsSets out = to_vectors(pts);
   st.wall_seconds = timer.seconds();
   st.modeled_cycles = static_cast<double>(st.counted_work);
   if (stats) *stats = st;
-  return pts;
+  return out;
 }
 
 PtsSets solve_multicore(const ConstraintSet& cs, cpu::ParallelRunner& runner,
                         PtaStats* stats) {
   Timer timer;
   PtaStats st;
-  PtsSets pts(cs.num_vars);
+  std::vector<PtsSet> pts(cs.num_vars);
 
   runner.round(cs.constraints.size(), [&](cpu::WorkerCtx& ctx,
                                           std::uint64_t i) {
@@ -99,11 +74,12 @@ PtsSets solve_multicore(const ConstraintSet& cs, cpu::ParallelRunner& runner,
     ctx.work(1);
     if (c.kind == ConstraintKind::kAddressOf) {
       ctx.sync_op();  // push into a shared set
-      insert_into(pts[c.dst], c.src, &st.counted_work);
+      st.counted_work += 1;
+      pts[c.dst].insert(c.src);
     }
   });
 
-  std::vector<Var> snapshot;
+  PtsSet snapshot;
   bool changed = true;
   while (changed) {
     changed = false;
@@ -119,26 +95,26 @@ PtsSets solve_multicore(const ConstraintSet& cs, cpu::ParallelRunner& runner,
         case ConstraintKind::kCopy:
           if (c.dst != c.src) {
             ctx.sync_op();  // push-based: the target set is shared
-            grew |= union_into(pts[c.dst], pts[c.src], &ops);
+            grew |= charged_union(pts[c.dst], pts[c.src], &ops);
           }
           break;
         case ConstraintKind::kLoad:
           snapshot = pts[c.src];
-          for (Var v : snapshot) {
+          snapshot.for_each([&](Var v) {
             if (v != c.dst) {
               ctx.sync_op();
-              grew |= union_into(pts[c.dst], pts[v], &ops);
+              grew |= charged_union(pts[c.dst], pts[v], &ops);
             }
-          }
+          });
           break;
         case ConstraintKind::kStore:
           snapshot = pts[c.dst];
-          for (Var v : snapshot) {
+          snapshot.for_each([&](Var v) {
             if (v != c.src) {
               ctx.sync_op();
-              grew |= union_into(pts[v], pts[c.src], &ops);
+              grew |= charged_union(pts[v], pts[c.src], &ops);
             }
-          }
+          });
           break;
       }
       ctx.work(ops);
@@ -148,10 +124,11 @@ PtsSets solve_multicore(const ConstraintSet& cs, cpu::ParallelRunner& runner,
   }
 
   for (const auto& s : pts) st.pts_total += s.size();
+  PtsSets out = to_vectors(pts);
   st.wall_seconds = timer.seconds();
   st.modeled_cycles = runner.stats().modeled_cycles;
   if (stats) *stats = st;
-  return pts;
+  return out;
 }
 
 bool equal_pts(const PtsSets& a, const PtsSets& b) {

@@ -3,6 +3,9 @@
 // refinement drivers (serial / multicore / GPU) across schemes and options.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <type_traits>
+
 #include "dmr/cavity.hpp"
 #include "dmr/delaunay.hpp"
 #include "dmr/geometry.hpp"
@@ -310,7 +313,11 @@ struct GpuCase {
   bool layout_opt;
   bool recycle;
   bool use_float;
+  // gtest names each case by a byte dump of the struct; spelling out the
+  // tail bytes keeps uninitialised padding (and so a random name) out of it.
+  std::uint8_t reserved[3] = {};
 };
+static_assert(std::has_unique_object_representations_v<GpuCase>);
 
 class RefineGpuSweep : public ::testing::TestWithParam<GpuCase> {};
 

@@ -328,6 +328,47 @@ TEST(Gpu, EdgeCountGrowsMonotonically) {
   EXPECT_GT(st.pts_total, 0u);
 }
 
+// Zero-drift pins: the exact stats of the default GPU and serial runs on
+// three Fig. 10 sets. Host-side rework of set storage or scheduling must
+// leave every one of these bit-identical (modeled cycles compared exactly).
+const SpecWorkload& spec_named(const std::string& name) {
+  for (const SpecWorkload& w : spec2000_workloads()) {
+    if (w.name == name) return w;
+  }
+  ADD_FAILURE() << "no Fig. 10 workload named " << name;
+  return spec2000_workloads().front();
+}
+
+TEST(Gpu, DefaultRunStatsArePinned) {
+  struct Pin {
+    const char* name;
+    std::uint64_t iterations, edges_added, pts_total;
+    double modeled_cycles;
+  };
+  const Pin pins[] = {
+      {"179.art", 13, 5463, 12089, 308310.44144047616},
+      {"256.bzip2", 11, 21036, 46267, 438777.51303571428},
+      {"183.equake", 10, 26934, 54623, 487661.93446428562},
+  };
+  for (const Pin& p : pins) {
+    gpu::Device dev(gpu::DeviceConfig{.host_workers = 1});
+    PtaStats st;
+    solve_gpu(spec_like(spec_named(p.name)), dev, {}, &st);
+    EXPECT_EQ(st.iterations, p.iterations) << p.name;
+    EXPECT_EQ(st.edges_added, p.edges_added) << p.name;
+    EXPECT_EQ(st.pts_total, p.pts_total) << p.name;
+    EXPECT_EQ(st.modeled_cycles, p.modeled_cycles) << p.name;
+  }
+}
+
+TEST(Stats, SerialWorkIsPinned) {
+  PtaStats st;
+  solve_serial(spec_like(spec_named("179.art")), &st);
+  EXPECT_EQ(st.counted_work, 4274665u);
+  EXPECT_EQ(st.iterations, 7u);
+  EXPECT_EQ(st.pts_total, 12089u);
+}
+
 TEST(Stats, SerialReportsWork) {
   const ConstraintSet cs = synthetic_program(200, 300, 14);
   PtaStats st;

@@ -432,6 +432,7 @@ TEST(Solve, UncachedCostBlowsUpWithK) {
   opts.max_sweeps = 3;
   opts.max_phases = 1;
   opts.walksat_flips = 1;
+  opts.walksat_auto_budget = false;
 
   auto measure = [&](std::uint32_t k, bool cached) {
     auto f = random_ksat(
