@@ -6,9 +6,9 @@
 // worklist severely limits performance because work elements must be added
 // and removed atomically." This bench runs both drivers on the same mesh
 // and reports the atomics bill and modeled time. A third arm reruns the
-// data-driven driver with --worklist-mode=sharded forced on, so the
+// data-driven driver with RefineOptions::sharded_worklist on, so the
 // centralized-vs-sharded contention split (wl-contended ops vs local ring
-// ops) is visible in one report whatever mode the harness was given.
+// ops) is visible in one report.
 #include "bench_common.hpp"
 #include "dmr/delaunay.hpp"
 #include "dmr/refine.hpp"
@@ -47,9 +47,7 @@ int run_bench(int argc, char** argv) {
   }
   {
     dmr::Mesh m = base;
-    gpu::DeviceConfig cfg = bench.device_config();
-    cfg.worklist_mode = gpu::WorklistMode::kCentralized;
-    gpu::Device dev(cfg);
+    gpu::Device dev(bench.device_config());
     const dmr::RefineStats st = dmr::refine_gpu_datadriven(m, dev);
     const std::size_t bad_after = m.compute_all_bad(30.0);
     t.add_row({"data-driven (central worklist)",
@@ -69,10 +67,10 @@ int run_bench(int argc, char** argv) {
   }
   {
     dmr::Mesh m = base;
-    gpu::DeviceConfig cfg = bench.device_config();
-    cfg.worklist_mode = gpu::WorklistMode::kSharded;
-    gpu::Device dev(cfg);
-    const dmr::RefineStats st = dmr::refine_gpu_datadriven(m, dev);
+    gpu::Device dev(bench.device_config());
+    dmr::RefineOptions opts;
+    opts.sharded_worklist = true;
+    const dmr::RefineStats st = dmr::refine_gpu_datadriven(m, dev, opts);
     const std::size_t bad_after = m.compute_all_bad(30.0);
     t.add_row({"data-driven (sharded worklist)",
                bench.fmt_ms(bench.model_ms(st.modeled_cycles)),

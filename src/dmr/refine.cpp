@@ -482,18 +482,18 @@ RefineStats refine_gpu_datadriven(Mesh& m, gpu::Device& dev,
 
   // The centralized worklist. Sized generously; push failures fall back to
   // the next refill sweep. Attaching the device arms the overflow fault
-  // class when a campaign is running. Under WorklistMode::kSharded it is
-  // demoted to the shards' spill target: work normally lives in the
-  // ShardedWorklist, partitioned so a block pops (and requeues to) its own
-  // shards, and the centralized atomic index is off the hot path.
-  const bool sharded =
-      dev.config().worklist_mode == gpu::WorklistMode::kSharded;
+  // class when a campaign is running. With `opts.sharded_worklist` it is
+  // demoted to the shards' spill target: work normally lives in a
+  // ShardedWorklist of 4 shards per SM, partitioned so a block pops (and
+  // requeues to) its own shards, and the centralized atomic index is off
+  // the hot path.
+  const bool sharded = opts.sharded_worklist;
   const std::size_t wl_cap =
       std::max<std::size_t>(1u << 16, m.num_slots() * 4);
   gpu::GlobalWorklist<Tri> worklist(wl_cap, &dev);
   std::optional<gpu::ShardedWorklist<Tri>> shards;
   if (sharded) {
-    const std::size_t S = dev.config().resolved_worklist_shards();
+    const std::size_t S = 4 * dev.config().num_sms;
     shards.emplace(S, wl_cap / S + 1, &dev, &worklist);
   }
   // Host-side fill (charges are discarded): bad triangles go to the shard of
@@ -571,13 +571,14 @@ RefineStats refine_gpu_datadriven(Mesh& m, gpu::Device& dev,
     };
 
     const gpu::Phase phases[3] = {
-        // Pop + cavity building: block-parallel. Centralized: which thread
-        // pops which item depends on the pop interleaving, so the schedule
-        // is not bit-deterministic across host_workers values; the worklist
-        // guarantees only that no item is lost or duplicated. Sharded: a
-        // block pops only from the shards it owns and its threads run in
-        // ascending order on one host worker, so the whole schedule — and
-        // every downstream stat — is bit-identical for any host_workers.
+        // Pop + cavity building. Sharded: block-parallel — a block pops
+        // only from the shards it owns and its threads run in ascending
+        // order on one host worker, so the whole schedule is bit-identical
+        // for any host_workers. Centralized: which thread pops which item
+        // would depend on how host workers interleave on the shared index,
+        // so the phase runs blocks in ascending order on one host thread
+        // (modeled cost is unchanged); every downstream stat is then
+        // bit-identical for any host_workers too.
         {[&](gpu::ThreadCtx& ctx) {
           const std::uint32_t t = ctx.tid();
           // Pop until a live bad triangle appears (stale ids are skipped).
@@ -597,7 +598,7 @@ RefineStats refine_gpu_datadriven(Mesh& m, gpu::Device& dev,
           hood[t] = cav[t].neighborhood(m);
           charge_locality(ctx, cand[t], hood[t]);
           marks.race_mark(ctx, t, hood[t]);
-        }, /*sequential=*/false},
+        }, /*sequential=*/!sharded},
         {[&](gpu::ThreadCtx& ctx) {
           const std::uint32_t t = ctx.tid();
           if (cand[t] == Mesh::kNone) return;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <numeric>
 #include <thread>
+#include <utility>
 
 #include "support/rng.hpp"
 #include "telemetry/trace.hpp"
@@ -29,9 +30,9 @@ Device::Device(DeviceConfig cfg)
   }
 }
 
-KernelStats Device::launch(const LaunchConfig& lc, const KernelFn& fn) {
-  const KernelFn phases[1] = {fn};
-  return launch_phases(lc, std::span<const KernelFn>(phases, 1));
+KernelStats Device::launch(const LaunchConfig& lc, KernelFn fn) {
+  const Phase phase{std::move(fn), /*sequential=*/false};
+  return launch_phases(lc, std::span<const Phase>(&phase, 1));
 }
 
 double Device::barrier_cycles(BarrierKind kind, const LaunchConfig& lc) const {
@@ -52,14 +53,6 @@ double Device::barrier_cycles(BarrierKind kind, const LaunchConfig& lc) const {
       return blocks * (cfg_.syncthreads_cost + 3.0 * cfg_.global_mem_cost);
   }
   return 0.0;
-}
-
-KernelStats Device::launch_phases(const LaunchConfig& lc,
-                                  std::span<const KernelFn> phases,
-                                  BarrierKind barrier) {
-  std::vector<Phase> specs(phases.size());
-  for (std::size_t i = 0; i < phases.size(); ++i) specs[i].fn = phases[i];
-  return launch_phases(lc, std::span<const Phase>(specs), barrier);
 }
 
 namespace {

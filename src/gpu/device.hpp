@@ -150,14 +150,10 @@ class Device {
   std::uint32_t host_workers() const { return pool_.workers(); }
 
   /// Launches a single-phase kernel and returns its statistics.
-  KernelStats launch(const LaunchConfig& lc, const KernelFn& fn);
+  KernelStats launch(const LaunchConfig& lc, KernelFn fn);
 
-  /// Launches a kernel with global barriers between consecutive phases.
-  KernelStats launch_phases(const LaunchConfig& lc,
-                            std::span<const KernelFn> phases,
-                            BarrierKind barrier = BarrierKind::kHierarchical);
-
-  /// As above, with per-phase execution control (Phase::sequential).
+  /// Launches a kernel with global barriers between consecutive phases,
+  /// with per-phase execution control (Phase::sequential).
   KernelStats launch_phases(const LaunchConfig& lc,
                             std::span<const Phase> phases,
                             BarrierKind barrier = BarrierKind::kHierarchical);

@@ -230,7 +230,7 @@ class GlobalWorklist {
 /// Sharded worklist: the paper's pseudo-partitioning (Sec. 7.5) lifted to
 /// the block-parallel host path. Work lives in `num_shards()` fixed-capacity
 /// rings; each ring uses the same claim-then-publish index protocol as
-/// GlobalWorklist, so any mix of concurrent push / pop / steal is safe. The
+/// GlobalWorklist, so any mix of concurrent push / pop is safe. The
 /// point of sharding is that the *common* op touches a ring no other block
 /// claims from, so it is charged as plain work instead of an atomic
 /// (ThreadCtx::worklist_op), and the centralized list survives only as the
@@ -244,9 +244,8 @@ class GlobalWorklist {
 /// commit protocol. Stealing and spill-draining are performed *between*
 /// launches by the host (rebalance()), which walks shards in index order, so
 /// steal/spill counts and every modeled stat are identical for any
-/// host_workers value. steal() exists for callers that accept a
-/// nondeterministic schedule (and for the stress tests); the deterministic
-/// drivers never call it from a parallel phase.
+/// host_workers value. Its one driver is the sharded arm of the data-driven
+/// DMR ablation (dmr::RefineOptions::sharded_worklist).
 template <typename T>
 class ShardedWorklist {
  public:
@@ -366,19 +365,7 @@ class ShardedWorklist {
     return std::nullopt;
   }
 
-  /// Lock-free steal from an arbitrary shard: a contended claim on a ring
-  /// another block owns. Safe under any interleaving (the rings are MPMC),
-  /// but the *schedule* of successful steals is timing-dependent, so
-  /// deterministic drivers only steal via rebalance().
-  std::optional<T> steal(ThreadCtx& ctx, std::size_t victim_shard) {
-    ctx.worklist_op(/*contended=*/true);
-    auto v = ring_pop(victim_shard, agent_of(ctx));
-    if (v) steals_.fetch_add(1, std::memory_order_relaxed);
-    return v;
-  }
-
-  // --- non-consuming iteration (round-based drivers keep their live set
-  //     in the shards and sweep it in place) ---
+  // --- inspection (between launches) ---
 
   /// Published items currently in `shard`. Stable only while no pops run.
   std::size_t shard_size(std::size_t s) const {

@@ -12,10 +12,9 @@
 //      pointer jumping resolves chains,
 //   4. per node: merge (relabel to the representative).
 // Adjacency lists are never merged; the cost of merging scales with nodes.
+#include <algorithm>
 #include <atomic>
-#include <optional>
 
-#include "gpu/worklist.hpp"
 #include "mst/mst.hpp"
 #include "support/status.hpp"
 #include "support/timer.hpp"
@@ -91,38 +90,6 @@ MstResult mst_gpu(const graph::CsrGraph& g, gpu::Device& dev) {
       "mst.boruvka"};
   const std::uint64_t T = lc.total_threads();
 
-  // WorklistMode::kSharded: the alive list is mirrored into a sharded
-  // worklist, pseudo-partitioned so each block sweeps a contiguous slice of
-  // components (rebuilt host-side every round, like comp_index). The
-  // per-component kernels then iterate the shards their block owns instead
-  // of striding the whole alive array.
-  const bool sharded =
-      dev.config().worklist_mode == gpu::WorklistMode::kSharded;
-  std::optional<gpu::ShardedWorklist<Node>> swl;
-  if (sharded) {
-    const std::size_t S = dev.config().resolved_worklist_shards();
-    swl.emplace(S, static_cast<std::size_t>(n) / S + 2, &dev);
-  }
-  // Per-component sweep under either worklist mode. The body sees each
-  // alive component exactly once; sharded iteration is non-consuming (the
-  // set is reused by every kernel of the round).
-  const auto for_each_comp = [&](gpu::ThreadCtx& ctx, auto&& body) {
-    if (sharded) {
-      const auto r = swl->owned_range(ctx.block(), lc.blocks);
-      for (std::size_t s = r.lo; s < r.hi; ++s) {
-        const std::size_t sz = swl->shard_size(s);
-        for (std::size_t i = ctx.thread_in_block(); i < sz;
-             i += lc.threads_per_block) {
-          body(swl->item(s, i));
-        }
-      }
-    } else {
-      for (std::uint64_t ci = ctx.tid(); ci < alive.size(); ci += T) {
-        body(alive[ci]);
-      }
-    }
-  };
-
   dev.note_host_alloc(static_cast<std::uint64_t>(n) *
                       (sizeof(Node) * 2 + sizeof(Best) * 2));
 
@@ -153,15 +120,6 @@ MstResult mst_gpu(const graph::CsrGraph& g, gpu::Device& dev) {
     dev.launch(lc, [&](gpu::ThreadCtx& ctx) {
       for (std::uint64_t u = ctx.tid(); u < n; u += T) ctx.work(1);
     });
-    if (sharded) {
-      swl->reset();
-      gpu::ThreadCtx host;  // host-side mirror of alive; charges discarded
-      for (std::uint32_t i = 0; i < alive.size(); ++i) {
-        (void)swl->push(host, swl->partition_shard(i, alive.size()), alive[i]);
-      }
-      dev.note_counter("worklist.occupancy",
-                       static_cast<double>(swl->size()));
-    }
 
     // Kernel 1: per-node minimum edge leaving the component.
     dev.launch(lc, [&](gpu::ThreadCtx& ctx) {
@@ -184,7 +142,8 @@ MstResult mst_gpu(const graph::CsrGraph& g, gpu::Device& dev) {
 
     // Kernel 2: per-component minimum over its nodes.
     dev.launch(lc, [&](gpu::ThreadCtx& ctx) {
-      for_each_comp(ctx, [&](Node c) {
+      for (std::uint64_t ai = ctx.tid(); ai < alive.size(); ai += T) {
+        const Node c = alive[ai];
         const std::uint32_t ci = comp_index[c];
         Best b;
         for (std::uint32_t x = comp_off[ci]; x < comp_off[ci + 1]; ++x) {
@@ -193,29 +152,31 @@ MstResult mst_gpu(const graph::CsrGraph& g, gpu::Device& dev) {
           if (nb.key < b.key) b = nb;
         }
         comp_best[c] = b;
-      });
+      }
     });
 
     // Kernel 3: cycle breaking. partner[c] = component of the chosen edge's
     // far endpoint; mutual pairs keep the minimum id as representative.
     dev.launch(lc, [&](gpu::ThreadCtx& ctx) {
-      for_each_comp(ctx, [&](Node c) {
+      for (std::uint64_t ai = ctx.tid(); ai < alive.size(); ai += T) {
+        const Node c = alive[ai];
         ctx.work(1);
         // b.u lies inside c (kernel 1), so comp[b.v] is the far component.
         const Best& b = comp_best[c];
         partner[c] = (b.key == kNoEdge) ? c : comp[b.v];
-      });
+      }
     });
     partner_prev = partner;
     dev.launch(lc, [&](gpu::ThreadCtx& ctx) {
-      for_each_comp(ctx, [&](Node c) {
+      for (std::uint64_t ai = ctx.tid(); ai < alive.size(); ai += T) {
+        const Node c = alive[ai];
         ctx.work(1);
         const Node p = partner_prev[c];
         if (partner_prev[p] == c && c < p) {
           // Representative of the mutual pair.
           partner[c] = c;
         }
-      });
+      }
     });
     // Pointer jumping until the partner chains settle on representatives.
     // Jumping halves chain lengths, so it must converge within
@@ -236,7 +197,8 @@ MstResult mst_gpu(const graph::CsrGraph& g, gpu::Device& dev) {
         std::atomic<bool> any{false};
         partner_prev = partner;
         dev.launch(lc, [&](gpu::ThreadCtx& ctx) {
-          for_each_comp(ctx, [&](Node c) {
+          for (std::uint64_t ai = ctx.tid(); ai < alive.size(); ai += T) {
+            const Node c = alive[ai];
             ctx.work(1);
             const Node p = partner_prev[c];
             const Node pp = partner_prev[p];
@@ -244,7 +206,7 @@ MstResult mst_gpu(const graph::CsrGraph& g, gpu::Device& dev) {
               partner[c] = pp;
               any.store(true, std::memory_order_relaxed);
             }
-          });
+          }
         });
         jumped = any.load();
       }

@@ -20,7 +20,7 @@
 // pairs within 4096-aligned clusters, weights < 2^28 — the maintained
 // forest is *the* unique MSF and byte-identical to a from-scratch
 // `mst_gpu` solve of the same final edge set, for any `--host-workers`
-// count and worklist mode.
+// count.
 #pragma once
 
 #include <cstdint>

@@ -5,23 +5,20 @@
 // Propagation is pull-based: only the owning thread writes a node's
 // points-to set. The push-based variant is kept for the ablation bench.
 //
-// Every phase runs block-parallel under any worklist mode and stays
-// bit-deterministic across host worker counts: list growth is parked in
-// per-list pending buffers and merged between launches (ChunkList), the
-// propagation phase reads the round-start points-to image and commits grown
+// Every phase runs block-parallel and stays bit-deterministic across host
+// worker counts: list growth is parked in per-list pending buffers and
+// merged between launches (ChunkList), the propagation phase reads the round-start points-to image and commits grown
 // sets host-side in deterministic order, and every op charge is computed
 // against pre-phase state (the snapshot-charging rule, DESIGN.md §6.1).
 // Points-to sets are sparse bitmaps (pta/pts_set.hpp) unioned in place;
 // they become sorted id vectors once, at copy-back.
 #include <algorithm>
 #include <mutex>
-#include <optional>
 #include <utility>
 
 #include "core/adaptive.hpp"
 #include "gpu/memory.hpp"
 #include "gpu/reduce.hpp"
-#include "gpu/worklist.hpp"
 #include "pta/pts_set.hpp"
 #include "pta/solve.hpp"
 #include "support/status.hpp"
@@ -243,24 +240,6 @@ PtsSets solve_gpu(const ConstraintSet& cs, gpu::Device& dev,
       opts.initial_tpb, 3,
       std::clamp(n / (512.0 * dev.config().num_sms), 3.0, 50.0));
 
-  // WorklistMode::kSharded: the rule sweep (phase A) becomes data-driven.
-  // Enabled load/store constraint indices are seeded host-side into shards
-  // (pseudo-partitioned by constraint index, then rebalanced — the
-  // deterministic steal), and the kernel pops from the shards its block
-  // owns instead of striding all constraints and skipping disabled ones.
-  // Every phase runs block-parallel in every mode: list growth pends and is
-  // merged between launches, propagation reads the round-start snapshot and
-  // commits in node order, and all op charging is against pre-phase state —
-  // which is what keeps answers, op accounting and modeled stats
-  // bit-identical for any --host-workers value (DESIGN.md §6.1).
-  const bool sharded =
-      dev.config().worklist_mode == gpu::WorklistMode::kSharded;
-  std::optional<gpu::ShardedWorklist<std::uint32_t>> swl;
-  if (sharded) {
-    const std::size_t S = dev.config().resolved_worklist_shards();
-    swl.emplace(S, loadstore.size() / S + 2, &dev);
-  }
-
   // Phase 1 (init): seed points-to sets from address-of constraints.
   {
     gpu::LaunchConfig lc = launcher.next(dev.config());
@@ -328,34 +307,14 @@ PtsSets solve_gpu(const ConstraintSet& cs, gpu::Device& dev,
     const std::uint64_t T = lc.total_threads();
     std::uint64_t round_grew = 0;  // committed host-side, between launches
 
-    // Sharded: seed this round's enabled constraints (the same predicate
-    // the strided kernel applies inline), then rebalance so starved shards
-    // are fed before the launch.
-    if (sharded) {
-      swl->reset();
-      gpu::ThreadCtx host;  // host-side fill; charges discarded
-      for (std::uint32_t i = 0; i < loadstore.size(); ++i) {
-        const Constraint& c = loadstore[i];
-        const Var ptr = (c.kind == ConstraintKind::kLoad) ? c.src : c.dst;
-        if (full_sweep || changed_cur[ptr] || st.iterations == 1) {
-          (void)swl->push(host, swl->partition_shard(i, loadstore.size()), i);
-        }
-      }
-      swl->rebalance();
-      dev.note_counter("worklist.occupancy",
-                       static_cast<double>(swl->size()));
-    }
-
     // --- phase A: load/store constraints add edges (Sec. 4: "constraints
     // are evaluated"; edges go to the incoming list in the pull model) ---
     const auto phase_a = [&](gpu::ThreadCtx& ctx) {
-      const auto evaluate = [&](const Constraint& c) {
+      for (std::uint64_t i = ctx.tid(); i < loadstore.size(); i += T) {
+        const Constraint& c = loadstore[i];
         ctx.work(1);
         const Var ptr = (c.kind == ConstraintKind::kLoad) ? c.src : c.dst;
-        if (!sharded && !full_sweep && !changed_cur[ptr] &&
-            st.iterations > 1) {
-          return;
-        }
+        if (!full_sweep && !changed_cur[ptr] && st.iterations > 1) continue;
         ctx.global_access();
         std::scoped_lock lock(list_mu);
         pts[ptr].for_each([&](Var raw) {
@@ -380,15 +339,6 @@ PtsSets solve_gpu(const ConstraintSet& cs, gpu::Device& dev,
           ctx.work(ops + 1);
           if (opts.push_based) ctx.atomic_op();
         });
-      };
-      if (sharded) {
-        while (auto idx = swl->pop_owned(ctx, lc.blocks)) {
-          evaluate(loadstore[*idx]);
-        }
-      } else {
-        for (std::uint64_t i = ctx.tid(); i < loadstore.size(); i += T) {
-          evaluate(loadstore[i]);
-        }
       }
     };
     {

@@ -4,7 +4,7 @@
 // worklist with just their endpoints and propagation resumes from the
 // current solution. Since the fixed point of a constraint set is unique,
 // the resumed solution is exactly `solve_gpu` of the accumulated set, for
-// any `--host-workers` count and worklist mode.
+// any `--host-workers` count.
 #pragma once
 
 #include <cstdint>

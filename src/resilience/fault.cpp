@@ -4,17 +4,11 @@
 #include <cstdlib>
 #include <sstream>
 
+#include "support/rng.hpp"
+
 namespace morph::resilience {
 
 namespace {
-
-/// splitmix64 — tiny, seedable, and plenty for per-opportunity coin flips.
-std::uint64_t splitmix64(std::uint64_t& state) {
-  std::uint64_t z = (state += 0x9e3779b97f4a7c15ull);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  return z ^ (z >> 31);
-}
 
 double uniform01(std::uint64_t& state) {
   return static_cast<double>(splitmix64(state) >> 11) * 0x1.0p-53;

@@ -17,8 +17,8 @@
 // a virtual pool slot (`open arrival % pool`, an affinity/observability
 // label reported in replies and stats). Because the inline execution is a
 // pure function of the session's frame history and the incremental kernels
-// are bit-deterministic across host workers and worklist modes, replaying a
-// session's journaled history ('S' records) rebuilds its device stats and
+// are bit-deterministic across host workers, replaying a session's
+// journaled history ('S' records) rebuilds its device stats and
 // app state byte-identically — which is exactly how crash recovery restores
 // open sessions.
 #pragma once

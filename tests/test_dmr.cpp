@@ -409,31 +409,40 @@ TEST(RefineGpu, ModeledCyclesBitIdenticalAcrossHostWorkers) {
   // and aborted counts, and bit-identical modeled statistics. Race marks
   // resolve highest-id-wins and mesh mutation happens in a sequential
   // commit phase, so the winner set per round is interleaving-independent.
+  // The data-driven driver keeps the contract under both worklist arms:
+  // centralized pops run in block order, sharded pops are owner-only.
   const Mesh base = generate_input_mesh(1200, 25);
-  auto run = [&](std::uint32_t workers, Mesh& m, RefineStats& st) {
-    gpu::DeviceConfig cfg;
-    cfg.host_workers = workers;
-    gpu::Device dev(cfg);
-    m = base;
-    st = refine_gpu(m, dev, {});
-    return dev.stats().modeled_cycles;
-  };
-  Mesh m1 = base, m4 = base;
-  RefineStats s1, s4;
-  const double c1 = run(1, m1, s1);
-  const double c4 = run(4, m4, s4);
-  EXPECT_EQ(c1, c4);  // bitwise, not approximate
-  EXPECT_EQ(s1.modeled_cycles, s4.modeled_cycles);
-  EXPECT_EQ(s1.rounds, s4.rounds);
-  EXPECT_EQ(s1.processed, s4.processed);
-  EXPECT_EQ(s1.aborted, s4.aborted);
-  EXPECT_EQ(m1.num_live(), m4.num_live());
-  expect_refined(m4, "gpu host_workers=4");
+  enum class Driver { kTopology, kDataDriven, kDataDrivenSharded };
+  for (const Driver driver : {Driver::kTopology, Driver::kDataDriven,
+                              Driver::kDataDrivenSharded}) {
+    auto run = [&](std::uint32_t workers, Mesh& m, RefineStats& st) {
+      gpu::DeviceConfig cfg;
+      cfg.host_workers = workers;
+      gpu::Device dev(cfg);
+      m = base;
+      RefineOptions opts;
+      opts.sharded_worklist = driver == Driver::kDataDrivenSharded;
+      st = driver == Driver::kTopology ? refine_gpu(m, dev, opts)
+                                       : refine_gpu_datadriven(m, dev, opts);
+      return dev.stats().modeled_cycles;
+    };
+    SCOPED_TRACE(static_cast<int>(driver));
+    Mesh m1 = base, m4 = base;
+    RefineStats s1, s4;
+    const double c1 = run(1, m1, s1);
+    const double c4 = run(4, m4, s4);
+    EXPECT_EQ(c1, c4);  // bitwise, not approximate
+    EXPECT_EQ(s1.modeled_cycles, s4.modeled_cycles);
+    EXPECT_EQ(s1.rounds, s4.rounds);
+    EXPECT_EQ(s1.processed, s4.processed);
+    EXPECT_EQ(s1.aborted, s4.aborted);
+    EXPECT_EQ(m1.num_live(), m4.num_live());
+    expect_refined(m4, "gpu host_workers=4");
+  }
 }
 
 TEST(RefineGpuDataDriven, CorrectUnderBlockParallelExecution) {
-  // The data-driven schedule depends on the worklist pop interleaving, so
-  // it is not bit-deterministic across worker counts — but it must lose no
+  // Under block-parallel execution the data-driven driver must lose no
   // work and still fully refine the mesh.
   Mesh m = generate_input_mesh(1200, 26);
   gpu::DeviceConfig cfg;

@@ -435,18 +435,18 @@ TEST(CleanApps, DmrRefineTopologyDrivenCleanAndStatsIdentical) {
 }
 
 TEST(CleanApps, DmrRefineDataDrivenCleanBothWorklistModes) {
-  for (const gpu::WorklistMode mode :
-       {gpu::WorklistMode::kCentralized, gpu::WorklistMode::kSharded}) {
+  for (const bool sharded : {false, true}) {
     dmr::Mesh m = dmr::generate_input_mesh(400, 13);
     Sanitizer san;
     gpu::DeviceConfig cfg;
     cfg.sanitize = &san;
-    cfg.worklist_mode = mode;
     gpu::Device dev(cfg);
-    const dmr::RefineStats st = dmr::refine_gpu_datadriven(m, dev);
+    dmr::RefineOptions opts;
+    opts.sharded_worklist = sharded;
+    const dmr::RefineStats st = dmr::refine_gpu_datadriven(m, dev, opts);
     EXPECT_GT(st.processed, 0u);
     EXPECT_TRUE(san.clean())
-        << gpu::worklist_mode_name(mode) << ": "
+        << (sharded ? "sharded" : "centralized") << ": "
         << san.findings().front().to_string();
   }
 }

@@ -311,12 +311,10 @@ struct GpuRun {
   std::string trace;  ///< Chrome-trace JSON of every simulated launch
 };
 
-GpuRun run_gpu(const Formula& f, gpu::WorklistMode mode,
-               std::uint32_t host_workers, bool cached) {
+GpuRun run_gpu(const Formula& f, std::uint32_t host_workers, bool cached) {
   telemetry::TraceSink sink;
   gpu::DeviceConfig cfg;
   cfg.host_workers = host_workers;
-  cfg.worklist_mode = mode;
   cfg.trace = &sink;
   gpu::Device dev(cfg);
   SpOptions opts;
@@ -348,35 +346,27 @@ void expect_identical(const GpuRun& a, const GpuRun& b) {
   EXPECT_EQ(a.trace, b.trace);  // byte-identical telemetry
 }
 
-class GpuDeterminism
-    : public ::testing::TestWithParam<std::tuple<gpu::WorklistMode, bool>> {};
+class GpuDeterminism : public ::testing::TestWithParam<bool> {};
 
 TEST_P(GpuDeterminism, ByteIdenticalAcrossHostWorkers) {
   // The determinism contract behind scripts/tier1.sh's fig9 gate: answers,
   // modeled stats, counted work, and the full telemetry trace are
-  // byte-identical for 1 vs 8 host workers — snapshot (Jacobi) sweeps,
-  // block-ordered max reduction, ownership-partitioned worklists.
-  const auto [mode, cached] = GetParam();
+  // byte-identical for 1 vs 8 host workers — snapshot (Jacobi) sweeps and a
+  // block-ordered max reduction.
+  const bool cached = GetParam();
   const std::uint32_t n = 500;
   auto f = random_ksat(n, static_cast<std::uint32_t>(3.8 * n), 3, 19);
-  const GpuRun one = run_gpu(f, mode, 1, cached);
-  const GpuRun eight = run_gpu(f, mode, 8, cached);
+  const GpuRun one = run_gpu(f, 1, cached);
+  const GpuRun eight = run_gpu(f, 8, cached);
   expect_identical(one, eight);
   EXPECT_GT(one.res.sweeps, 0u);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    ModesAndCache, GpuDeterminism,
-    ::testing::Combine(::testing::Values(gpu::WorklistMode::kCentralized,
-                                         gpu::WorklistMode::kSharded),
-                       ::testing::Values(true, false)),
-    [](const auto& info) {
-      return std::string(std::get<0>(info.param) ==
-                                 gpu::WorklistMode::kSharded
-                             ? "sharded"
-                             : "centralized") +
-             (std::get<1>(info.param) ? "Cached" : "Uncached");
-    });
+INSTANTIATE_TEST_SUITE_P(Cache, GpuDeterminism, ::testing::Bool(),
+                         [](const auto& info) {
+                           return std::string(info.param ? "Cached"
+                                                         : "Uncached");
+                         });
 
 TEST(Solve, MulticoreScheduleIsDeterministic) {
   // Repeated runs must reproduce the schedule bit-for-bit: per-worker
