@@ -37,12 +37,9 @@
 // with its original arrival stamp, and the merged artifact must be
 // byte-identical to an uninterrupted run (docs/SERVER.md, "Durability &
 // operations").
-#include <signal.h>
 #include <sys/wait.h>
-#include <unistd.h>
 
 #include <algorithm>
-#include <cerrno>
 #include <cstdint>
 #include <fstream>
 #include <iostream>
@@ -53,6 +50,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "crash_harness.hpp"
 #include "serve/client.hpp"
 #include "serve/executor.hpp"
 #include "serve/scheduler.hpp"
@@ -63,6 +61,9 @@ namespace {
 
 using morph::Status;
 using morph::StatusCode;
+using morph::bench::kill_server_process;
+using morph::bench::spawn_server_process;
+using morph::bench::splitmix64;
 using morph::serve::Client;
 using morph::serve::JobKind;
 using morph::serve::JobOutcome;
@@ -73,13 +74,6 @@ using morph::serve::SchedulerConfig;
 using morph::serve::Server;
 using morph::serve::ServerConfig;
 using morph::telemetry::Json;
-
-std::uint64_t splitmix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4595bull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
 
 /// The deterministic job list. Specs cycle through a small table so each
 /// distinct spec recurs many times — those replay cohorts are what the
@@ -167,49 +161,6 @@ struct Tally {
   std::uint64_t failed_typed = 0;
   std::uint64_t rejected = 0;
 };
-
-/// Runs a Server in a forked child (the crash campaign's victim): the child
-/// serves until a client shutdown or a signal; the parent returns once the
-/// child's socket is listening. SIGKILLing the child is the whole point —
-/// no destructor runs, the socket file and the journal tail are left
-/// exactly as a real crash leaves them. Returns -1 on failure.
-pid_t spawn_server_process(const ServerConfig& scfg) {
-  int ready[2];
-  if (::pipe(ready) != 0) return -1;
-  const pid_t pid = ::fork();
-  if (pid < 0) {
-    ::close(ready[0]);
-    ::close(ready[1]);
-    return -1;
-  }
-  if (pid == 0) {
-    ::close(ready[0]);
-    ::signal(SIGPIPE, SIG_IGN);
-    {
-      Server server(scfg);
-      const Status s = server.start();
-      if (!s.ok()) {
-        std::cerr << "server child: " << s.to_string() << "\n";
-        ::close(ready[1]);
-        std::_Exit(1);
-      }
-      const char b = 1;
-      [[maybe_unused]] const ssize_t w = ::write(ready[1], &b, 1);
-      ::close(ready[1]);
-      server.wait();
-    }
-    std::_Exit(0);  // clean path: Server destructor already ran
-  }
-  ::close(ready[1]);
-  char b = 0;
-  ssize_t r;
-  while ((r = ::read(ready[0], &b, 1)) < 0 && errno == EINTR) {
-  }
-  ::close(ready[0]);
-  if (r == 1) return pid;
-  ::waitpid(pid, nullptr, 0);
-  return -1;
-}
 
 }  // namespace
 
@@ -433,8 +384,7 @@ int main(int argc, char** argv) {
             return 1;
           }
         }
-        ::kill(server_pid, SIGKILL);
-        ::waitpid(server_pid, nullptr, 0);
+        kill_server_process(server_pid);
         std::cerr << "crash campaign: SIGKILL after " << answered_n
                   << " replies; starting recovery\n";
         for (auto& cl : clients) cl->close();

@@ -17,7 +17,6 @@
 // run must match the reference byte for byte — session state, exec-stats
 // deltas, and digests all survive the kill exactly. Exits nonzero on any
 // divergence, so tier1.sh can gate on it directly.
-#include <signal.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -31,6 +30,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "crash_harness.hpp"
 #include "serve/client.hpp"
 #include "serve/server.hpp"
 #include "support/check.hpp"
@@ -39,17 +39,12 @@
 namespace {
 
 using morph::Status;
+using morph::bench::kill_server_process;
+using morph::bench::spawn_server_process;
+using morph::bench::splitmix64;
 using morph::serve::Client;
-using morph::serve::Server;
 using morph::serve::ServerConfig;
 using morph::telemetry::Json;
-
-std::uint64_t splitmix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4595bull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
 
 enum class FrameKind { kOpen, kUpdate, kClose };
 
@@ -169,47 +164,6 @@ Status send_frame(Client& c, const Frame& f) {
   return Status(morph::StatusCode::kBadRequest, "unreachable");
 }
 
-/// Forked server child, same shape as serve_loadtest's crash victim: no
-/// destructor runs under SIGKILL, so the journal tail and socket file are
-/// left exactly as a real crash leaves them.
-pid_t spawn_server_process(const ServerConfig& scfg) {
-  int ready[2];
-  if (::pipe(ready) != 0) return -1;
-  const pid_t pid = ::fork();
-  if (pid < 0) {
-    ::close(ready[0]);
-    ::close(ready[1]);
-    return -1;
-  }
-  if (pid == 0) {
-    ::close(ready[0]);
-    ::signal(SIGPIPE, SIG_IGN);
-    {
-      Server server(scfg);
-      const Status s = server.start();
-      if (!s.ok()) {
-        std::cerr << "server child: " << s.to_string() << "\n";
-        ::close(ready[1]);
-        std::_Exit(1);
-      }
-      const char b = 1;
-      [[maybe_unused]] const ssize_t w = ::write(ready[1], &b, 1);
-      ::close(ready[1]);
-      server.wait();
-    }
-    std::_Exit(0);
-  }
-  ::close(ready[1]);
-  char b = 0;
-  ssize_t r;
-  while ((r = ::read(ready[0], &b, 1)) < 0 && errno == EINTR) {
-  }
-  ::close(ready[0]);
-  if (r == 1) return pid;
-  ::waitpid(pid, nullptr, 0);
-  return -1;
-}
-
 struct RunResult {
   bool ok = false;
   std::map<std::uint64_t, std::string> replies;  ///< id -> reply dump
@@ -234,8 +188,7 @@ RunResult run_campaign(const ServerConfig& cfg,
   Client c;
   if (!c.connect(cfg.socket_path).ok()) {
     std::cerr << "error: connect failed\n";
-    ::kill(pid, SIGKILL);
-    ::waitpid(pid, nullptr, 0);
+    kill_server_process(pid);
     return out;
   }
 
@@ -258,8 +211,7 @@ RunResult run_campaign(const ServerConfig& cfg,
     std::string dump;
     if (!ask(frames[i], &dump)) {
       std::cerr << "error: frame id " << frames[i].id << " failed\n";
-      ::kill(pid, SIGKILL);
-      ::waitpid(pid, nullptr, 0);
+      kill_server_process(pid);
       return out;
     }
     out.replies[frames[i].id] = dump;
@@ -267,8 +219,7 @@ RunResult run_campaign(const ServerConfig& cfg,
 
     if (!killed && kill_after > 0 && replies >= kill_after) {
       killed = true;
-      ::kill(pid, SIGKILL);
-      ::waitpid(pid, nullptr, 0);
+      kill_server_process(pid);
       pid = spawn_server_process(cfg);
       if (pid < 0) {
         std::cerr << "error: recovery child failed to start\n";
@@ -277,8 +228,7 @@ RunResult run_campaign(const ServerConfig& cfg,
       c.close();
       if (!c.connect(cfg.socket_path).ok()) {
         std::cerr << "error: reconnect after crash failed\n";
-        ::kill(pid, SIGKILL);
-        ::waitpid(pid, nullptr, 0);
+        kill_server_process(pid);
         return out;
       }
       // The already-answered frame, resent with its original stamp: the
@@ -288,8 +238,7 @@ RunResult run_campaign(const ServerConfig& cfg,
         std::cerr << "error: replay reply diverged after crash (id "
                   << frames[i].id << ")\n  pre-crash: " << dump
                   << "\n  replayed:  " << replay << "\n";
-        ::kill(pid, SIGKILL);
-        ::waitpid(pid, nullptr, 0);
+        kill_server_process(pid);
         return out;
       }
     }

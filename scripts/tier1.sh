@@ -55,9 +55,12 @@ echo "== tier 1: host workers (cross-worker byte-identity) =="
 # modeled stats, and telemetry traces are byte-identical for any
 # --host-workers value (block-order commits, snapshot charging, owner-only
 # pops — DESIGN.md 6.1). ablate_worklist covers both data-driven DMR
-# worklist arms (centralized and sharded) next to the topology-driven one.
+# worklist arms (centralized and sharded) next to the topology-driven one;
+# ablate_conflict and fig8_dmr_ablation cover the locks, 2-phase, float and
+# prealloc arms of the shared cavity commit.
 for spec in "fig6_dmr_runtime --scale=64" "fig9_sp --scale=400" "fig10_pta" \
-            "fig11_mst --scale=16" "ablate_worklist --triangles=10000"; do
+            "fig11_mst --scale=16" "ablate_worklist --triangles=10000" \
+            "ablate_conflict --scale=8" "fig8_dmr_ablation --scale=400"; do
   set -- $spec
   name="$1"; shift
   "$BUILD/bench/$name" "$@" --host-workers=1 \

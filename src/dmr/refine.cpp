@@ -1,8 +1,11 @@
 #include "dmr/refine.hpp"
 
 #include <algorithm>
-#include <mutex>
+#include <atomic>
 #include <optional>
+#include <span>
+#include <string>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -15,6 +18,20 @@
 namespace morph::dmr {
 
 namespace {
+
+/// Safety net on every driver's round loop; the benches' inputs converge
+/// long before it.
+constexpr std::uint64_t kMaxRounds = 1u << 20;
+
+/// Blocks per SM, proportional to the input size (Sec. 7.4). The divisor is
+/// chosen so a thread's local worklist (its contiguous chunk, Sec. 7.5)
+/// covers a few dozen triangles at full occupancy — the proportion the
+/// paper's 3x..50x SM range implies for its inputs.
+double blocks_per_sm(const Mesh& m, const gpu::DeviceConfig& cfg) {
+  return std::clamp(
+      static_cast<double>(m.num_slots()) / (16384.0 * cfg.num_sms), 3.0,
+      50.0);
+}
 
 /// Charges one uncoalesced global access per neighborhood element whose slot
 /// id is far from the candidate's — the effect the memory-layout
@@ -30,40 +47,208 @@ void charge_locality(gpu::ThreadCtx& ctx, Tri candidate,
   }
 }
 
-/// Arms MarkTable::force_ties for one round when the campaign injects a
-/// livelock at this round's opportunity. Returns whether it fired.
-bool inject_livelock_round(gpu::Device& dev, core::MarkTable& marks,
-                           std::uint64_t round) {
-  if (!dev.fault_should_fire(resilience::FaultClass::kLivelock)) return false;
-  marks.set_force_ties(true);
-  dev.note_fault(resilience::FaultClass::kLivelock,
-                 "forced priority ties for round " + std::to_string(round));
-  return true;
-}
-
 /// The invariant gate for serialized-arbitration recovery: validates the
 /// mesh, rolling back to `checkpoint` (when present) and failing with
 /// kInvariantViolation if refinement corrupted it.
 void gate_mesh_invariants(Mesh& m, std::optional<Mesh>& checkpoint,
-                          const char* when) {
+                          const std::string& when) {
   std::string why;
   if (m.validate(&why)) return;
   if (checkpoint) m = std::move(*checkpoint);
   throw FaultError(Status(StatusCode::kInvariantViolation,
-                          std::string(when) + ": mesh invalid: " + why +
+                          when + ": mesh invalid: " + why +
                               (checkpoint ? " (rolled back to checkpoint)"
                                           : "")));
 }
+
+/// The one cavity commit ("apply a cavity", Sec. 2). Every driver applies
+/// its cavities here; the drivers differ only in which cavities they pick.
+class CavityCommit {
+ public:
+  CavityCommit(Mesh& m, const RefineOptions& opts,
+               analysis::Sanitizer* san = nullptr)
+      : m_(m),
+        cb_(cos_of_deg(opts.min_angle_deg)),
+        recycle_(opts.recycle),
+        recycler_(opts.recycle ? 1u << 22 : 0u) {
+    recycler_.set_sanitizer(san);
+  }
+
+  double cos_bound() const { return cb_; }
+
+  /// Retriangulates `c` into the mesh and hands its deleted slots back to
+  /// the recycler; the new triangles land in `added`. `ctx` (a GPU or a
+  /// multicore thread), when given, is charged one work unit per deleted
+  /// and created triangle. A GPU thread that won neighborhood `hood` in
+  /// `claimed` first shows the sanitizer it owns what it writes — the
+  /// guarded mutation the 3-phase protocol exists to protect. Returns the
+  /// change in the mesh's bad-triangle count.
+  template <class Ctx = gpu::ThreadCtx>
+  std::int64_t apply(const Cavity& c, std::vector<Tri>& added,
+                     Ctx* ctx = nullptr,
+                     const core::MarkTable* claimed = nullptr,
+                     std::span<const Tri> hood = {}) {
+    if constexpr (std::is_same_v<Ctx, gpu::ThreadCtx>) {
+      analysis::Sanitizer* s = claimed ? ctx->san() : nullptr;
+      if (s) s->on_guarded_write(claimed, ctx->block(), ctx->tid(), hood);
+    }
+    std::int64_t bad_in_cavity = 0;
+    for (Tri d : c.tris) bad_in_cavity += m_.is_bad(d) ? 1 : 0;
+    added.clear();
+    const RetriangulateResult res =
+        retriangulate(m_, c, cb_, recycle_ ? &recycler_ : nullptr, &added);
+    if (ctx) ctx->work(c.tris.size() + added.size());
+    if (recycle_) {
+      for (Tri d : c.tris) recycler_.give(d);
+    }
+    return static_cast<std::int64_t>(res.new_bad) - bad_in_cavity;
+  }
+
+ private:
+  Mesh& m_;
+  double cb_;
+  bool recycle_;
+  core::SlotRecycler recycler_;
+};
+
+/// What both GPU drivers share around their conflict rounds: the cavity
+/// commit, the mark table, the launch-geometry rule and the live-lock
+/// watchdog with its escalation ladder. The drivers differ only in how a
+/// round picks its cavities (a thread's chunk of the triangle array, or a
+/// pop from a worklist).
+class GpuRefinement {
+ public:
+  GpuRefinement(const char* driver, Mesh& m, gpu::Device& dev,
+                const RefineOptions& opts)
+      : commit(m, opts, dev.sanitizer()),
+        marks(m.num_slots()),
+        sm_factor(blocks_per_sm(m, dev.config())),
+        driver_(driver),
+        m_(m),
+        dev_(dev),
+        opts_(opts),
+        launcher_(opts.initial_tpb, 3, sm_factor),
+        watchdog_(opts.watchdog_escalate_after, opts.watchdog_give_up_after) {}
+
+  bool running() const { return bad_count > 0 && stats.rounds < kMaxRounds; }
+
+  /// Opens a round: arms MarkTable::force_ties when the campaign injects a
+  /// livelock at this round's opportunity, picks the launch geometry — the
+  /// adaptive scheme (Sec. 7.4) or the fixed configuration it is ablated
+  /// against — and clears the mark table.
+  gpu::LaunchConfig begin_round(const char* label) {
+    ++stats.rounds;
+    injected_livelock_ =
+        dev_.fault_should_fire(resilience::FaultClass::kLivelock);
+    if (injected_livelock_) {
+      marks.set_force_ties(true);
+      dev_.note_fault(resilience::FaultClass::kLivelock,
+                      "forced priority ties for round " +
+                          std::to_string(stats.rounds));
+    }
+    gpu::LaunchConfig lc =
+        opts_.adaptive
+            ? launcher_.next(dev_.config())
+            : core::fixed_config(dev_.config(), sm_factor, opts_.fixed_tpb);
+    lc.label = label;
+    const std::uint64_t nslots = m_.num_slots();
+    if (marks.size() < nslots) marks.resize(nslots + nslots / 2);
+    marks.reset();
+    return lc;
+  }
+
+  /// Closes a round. Live-lock watchdog (Sec. 7.3 + docs/RESILIENCE.md):
+  /// the 3-phase protocol only terminates with high probability, so
+  /// no-progress rounds are tracked and escalated. The default thresholds
+  /// escalate on the first fully aborted round — the historical fallback —
+  /// and never give up; campaigns tighten them to exercise the whole ladder.
+  void end_round(std::uint64_t processed, std::uint64_t aborted) {
+    if (injected_livelock_) marks.set_force_ties(false);
+    stats.processed += processed;
+    stats.aborted += aborted;
+    const auto action = watchdog_.observe(processed > 0);
+    if (action == resilience::LivelockWatchdog::Action::kGiveUp &&
+        bad_count > 0) {
+      throw FaultError(watchdog_.give_up_status(driver_));
+    }
+    if (action == resilience::LivelockWatchdog::Action::kEscalate &&
+        bad_count > 0) {
+      escalate();
+      if (injected_livelock_) {
+        dev_.note_recovery(
+            "livelock watchdog escalated to serialized arbitration");
+      }
+    } else if (injected_livelock_) {
+      dev_.note_recovery("retrying round after forced priority ties");
+    }
+  }
+
+  /// Checks convergence, gates the result and fills the final stats.
+  RefineStats finish(const Timer& timer) {
+    MORPH_CHECK_MSG(bad_count == 0,
+                    driver_ << ": refinement hit the round limit");
+    if (opts_.validate_invariants) {
+      std::optional<Mesh> no_checkpoint;
+      gate_mesh_invariants(m_, no_checkpoint,
+                           std::string(driver_) + " result");
+    }
+    stats.final_triangles = m_.num_live();
+    stats.wall_seconds = timer.seconds();
+    stats.modeled_cycles = dev_.stats().modeled_cycles;
+    return stats;
+  }
+
+  CavityCommit commit;
+  core::MarkTable marks;
+  const double sm_factor;
+  std::int64_t bad_count = 0;
+  RefineStats stats;
+
+ private:
+  /// Serialized priority arbitration: refine one bad triangle with a
+  /// single-thread kernel — trivially tie-free. The kernel is charged its
+  /// scan and its cavity build; the commit itself is not. When the
+  /// invariant gate is on, the mesh is checkpointed first and rolled back
+  /// if the escalation corrupts it.
+  void escalate() {
+    ++stats.fallbacks;
+    std::optional<Mesh> checkpoint;
+    if (opts_.validate_invariants) checkpoint = m_;
+    dev_.launch({1, 1, "dmr.escalate"}, [&](gpu::ThreadCtx& ctx) {
+      for (Tri t = 0; t < m_.num_slots(); ++t) {
+        ctx.work(1);
+        if (m_.is_deleted(t) || !m_.is_bad(t)) continue;
+        const Cavity c = build_refinement_cavity(m_, t, opts_.use_float);
+        ctx.work(c.steps);
+        std::vector<Tri> added;
+        bad_count += commit.apply(c, added);
+        ++stats.processed;
+        break;
+      }
+    });
+    if (opts_.validate_invariants) {
+      gate_mesh_invariants(m_, checkpoint,
+                           std::string(driver_) + " escalation");
+    }
+  }
+
+  const char* driver_;
+  Mesh& m_;
+  gpu::Device& dev_;
+  const RefineOptions& opts_;
+  core::AdaptiveLauncher launcher_;
+  resilience::LivelockWatchdog watchdog_;
+  bool injected_livelock_ = false;
+};
 
 }  // namespace
 
 RefineStats refine_serial(Mesh& m, const RefineOptions& opts) {
   Timer timer;
   RefineStats st;
-  const double cb = cos_of_deg(opts.min_angle_deg);
   st.initial_bad = m.compute_all_bad(opts.min_angle_deg);
 
-  core::SlotRecycler recycler(opts.recycle ? 1u << 22 : 0u);
+  CavityCommit commit(m, opts);
   std::vector<Tri> work;
   work.reserve(st.initial_bad);
   for (Tri t = 0; t < m.num_slots(); ++t) {
@@ -75,12 +260,7 @@ RefineStats refine_serial(Mesh& m, const RefineOptions& opts) {
     const Tri t = work.back();
     work.pop_back();
     if (m.is_deleted(t) || !m.is_bad(t)) continue;
-    Cavity c = build_refinement_cavity(m, t, opts.use_float);
-    added.clear();
-    retriangulate(m, c, cb, opts.recycle ? &recycler : nullptr, &added);
-    if (opts.recycle) {
-      for (Tri d : c.tris) recycler.give(d);
-    }
+    commit.apply(build_refinement_cavity(m, t, opts.use_float), added);
     for (Tri a : added) {
       if (m.is_bad(a)) work.push_back(a);
     }
@@ -99,10 +279,9 @@ RefineStats refine_multicore(Mesh& m, cpu::ParallelRunner& runner,
                              const RefineOptions& opts) {
   Timer timer;
   RefineStats st;
-  const double cb = cos_of_deg(opts.min_angle_deg);
   st.initial_bad = m.compute_all_bad(opts.min_angle_deg);
 
-  core::SlotRecycler recycler(opts.recycle ? 1u << 22 : 0u);
+  CavityCommit commit(m, opts);
   std::vector<Tri> candidates;
   for (Tri t = 0; t < m.num_slots(); ++t) {
     if (!m.is_deleted(t) && m.is_bad(t)) candidates.push_back(t);
@@ -110,7 +289,7 @@ RefineStats refine_multicore(Mesh& m, cpu::ParallelRunner& runner,
 
   std::vector<Tri> next;
   std::vector<Tri> added;
-  while (!candidates.empty() && st.rounds < opts.max_rounds) {
+  while (!candidates.empty() && st.rounds < kMaxRounds) {
     ++st.rounds;
     next.clear();
     // Per-round speculation state: element -> claiming item index.
@@ -120,7 +299,7 @@ RefineStats refine_multicore(Mesh& m, cpu::ParallelRunner& runner,
       const Tri t = candidates[i];
       ctx.work(1);
       if (m.is_deleted(t) || !m.is_bad(t)) return;
-      Cavity c = build_refinement_cavity(m, t, opts.use_float);
+      const Cavity c = build_refinement_cavity(m, t, opts.use_float);
       ctx.work(c.steps);
       const std::vector<Tri> hood = c.neighborhood(m);
       // Optimistic per-element locking, Galois style: abort on conflict.
@@ -134,12 +313,7 @@ RefineStats refine_multicore(Mesh& m, cpu::ParallelRunner& runner,
         }
       }
       for (Tri e : hood) claims[e] = i;
-      added.clear();
-      retriangulate(m, c, cb, opts.recycle ? &recycler : nullptr, &added);
-      ctx.work(c.tris.size() + added.size());
-      if (opts.recycle) {
-        for (Tri d : c.tris) recycler.give(d);
-      }
+      commit.apply(c, added, &ctx);
       for (Tri a : added) {
         if (m.is_bad(a)) next.push_back(a);
       }
@@ -157,49 +331,33 @@ RefineStats refine_multicore(Mesh& m, cpu::ParallelRunner& runner,
 
 RefineStats refine_gpu(Mesh& m, gpu::Device& dev, const RefineOptions& opts) {
   Timer timer;
-  RefineStats st;
-  const double cb = cos_of_deg(opts.min_angle_deg);
-
   if (opts.layout_opt) m.compact_and_reorder();
+  GpuRefinement run("dmr::refine_gpu", m, dev, opts);
+  const double cb = run.commit.cos_bound();
 
-  // Block count proportional to the input size (Sec. 7.4). The divisor is
-  // chosen so a thread's local worklist (its contiguous chunk, Sec. 7.5)
-  // covers a few dozen triangles at full occupancy — the proportion the
-  // paper's 3x..50x SM range implies for its inputs.
-  const double sm_factor =
-      opts.sm_factor > 0.0
-          ? opts.sm_factor
-          : std::clamp(static_cast<double>(m.num_slots()) /
-                           (16384.0 * dev.config().num_sms),
-                       3.0, 50.0);
-
-  // Transfer of the initial mesh (main() in Fig. 3).
-  dev.note_copy(m.num_slots() * (3 * sizeof(Vtx) + 3 * sizeof(Tri)) +
-                m.num_points() * 2 * sizeof(double));
+  constexpr std::uint64_t kSlotBytes = 3 * sizeof(Vtx) + 3 * sizeof(Tri);
+  const auto copy_mesh = [&] {
+    dev.note_copy(m.num_slots() * kSlotBytes +
+                  m.num_points() * 2 * sizeof(double));
+  };
+  copy_mesh();  // transfer of the initial mesh (main() in Fig. 3)
 
   // Memory strategy (Sec. 7.1). `reserved_slots` is the model-side view of
-  // how much device storage has been cudaMalloc'ed for triangles.
-  std::uint64_t reserved_slots;
-  if (opts.prealloc) {
-    reserved_slots = m.num_slots() * 12;  // generous static bound
-    dev.note_host_alloc(reserved_slots * (3 * sizeof(Vtx) + 3 * sizeof(Tri)));
-  } else {
-    reserved_slots = m.num_slots();
-    dev.note_host_alloc(reserved_slots * (3 * sizeof(Vtx) + 3 * sizeof(Tri)));
-  }
+  // how much device storage has been cudaMalloc'ed for triangles; prealloc
+  // reserves a generous static bound up front.
+  std::uint64_t reserved_slots = m.num_slots() * (opts.prealloc ? 12 : 1);
+  dev.note_host_alloc(reserved_slots * kSlotBytes);
   auto ensure_reserved = [&](std::uint64_t needed) {
     if (needed <= reserved_slots) return;
-    const std::uint64_t bytes_now =
-        m.num_slots() * (3 * sizeof(Vtx) + 3 * sizeof(Tri));
+    const std::uint64_t bytes_now = m.num_slots() * kSlotBytes;
     reserved_slots = needed + needed / 2;
     dev.note_realloc(bytes_now);
-    dev.note_host_alloc(reserved_slots * (3 * sizeof(Vtx) + 3 * sizeof(Tri)));
+    dev.note_host_alloc(reserved_slots * kSlotBytes);
   };
 
   // initialize_kernel: compute bad flags (real work, charged per slot).
-  std::int64_t bad_count = 0;
   {
-    gpu::LaunchConfig lc = core::fixed_config(dev.config(), sm_factor, 256);
+    gpu::LaunchConfig lc = core::fixed_config(dev.config(), run.sm_factor, 256);
     lc.label = "dmr.init";
     const std::uint64_t n = m.num_slots();
     const std::uint64_t T = lc.total_threads();
@@ -218,36 +376,19 @@ RefineStats refine_gpu(Mesh& m, gpu::Device& dev, const RefineOptions& opts) {
       }
       if (local) bad_total.fetch_add(local, std::memory_order_relaxed);
     });
-    bad_count = bad_total.load();
+    run.bad_count = bad_total.load();
   }
-  st.initial_bad = static_cast<std::uint64_t>(bad_count);
+  run.stats.initial_bad = static_cast<std::uint64_t>(run.bad_count);
 
-  core::SlotRecycler recycler(opts.recycle ? 1u << 22 : 0u);
-  recycler.set_sanitizer(dev.sanitizer());
-  core::MarkTable marks(m.num_slots());
-  core::AdaptiveLauncher launcher(opts.initial_tpb, 3, sm_factor);
-  resilience::LivelockWatchdog watchdog(opts.watchdog_escalate_after,
-                                        opts.watchdog_give_up_after);
-
-  while (bad_count > 0 && st.rounds < opts.max_rounds) {
-    ++st.rounds;
-    const bool injected_livelock =
-        inject_livelock_round(dev, marks, st.rounds);
+  while (run.running()) {
+    const gpu::LaunchConfig lc = run.begin_round("dmr.refine");
     const std::uint64_t nslots = m.num_slots();
-    gpu::LaunchConfig lc =
-        opts.adaptive ? launcher.next(dev.config())
-                      : core::fixed_config(dev.config(), sm_factor,
-                                           opts.fixed_tpb);
-    lc.label = "dmr.refine";
     const std::uint64_t T = lc.total_threads();
-
-    if (marks.size() < nslots) marks.resize(nslots + nslots / 2);
-    marks.reset();
 
     // Host pre-calculation of the next kernel's memory needs (Host-Only).
     ensure_reserved(m.num_slots() +
                     static_cast<std::uint64_t>(
-                        std::min<std::int64_t>(bad_count,
+                        std::min<std::int64_t>(run.bad_count,
                                                static_cast<std::int64_t>(T))) *
                         8);
 
@@ -299,7 +440,7 @@ RefineStats refine_gpu(Mesh& m, gpu::Device& dev, const RefineOptions& opts) {
       charge_locality(ctx, target, hood[t]);
       active[t] = 1;
       if (opts.scheme != core::ConflictScheme::kLocks) {
-        marks.race_mark(ctx, t, hood[t]);
+        run.marks.race_mark(ctx, t, hood[t]);
       }
     };
 
@@ -314,21 +455,9 @@ RefineStats refine_gpu(Mesh& m, gpu::Device& dev, const RefineOptions& opts) {
     // host_workers value. All parallel wall-clock gain lives in the cavity
     // building of the race phase, which stays block-parallel.
     auto apply = [&](gpu::ThreadCtx& ctx, std::uint32_t t) {
-      // The guarded mutation the 3-phase protocol exists to protect: every
-      // cavity element must be owned by this activity in the mark table.
-      if (analysis::Sanitizer* s = ctx.san()) {
-        s->on_guarded_write(&marks, ctx.block(), t, hood[t]);
-      }
-      std::int64_t bad_in_cavity = 0;
-      for (Tri d : cav[t].tris) bad_in_cavity += m.is_bad(d) ? 1 : 0;
       std::vector<Tri> added;
-      const RetriangulateResult res = retriangulate(
-          m, cav[t], cb, opts.recycle ? &recycler : nullptr, &added);
-      ctx.work(cav[t].tris.size() + added.size());
-      if (opts.recycle) {
-        for (Tri d : cav[t].tris) recycler.give(d);
-      }
-      bad_count += static_cast<std::int64_t>(res.new_bad) - bad_in_cavity;
+      run.bad_count +=
+          run.commit.apply(cav[t], added, &ctx, &run.marks, hood[t]);
       ++round_processed;
     };
 
@@ -343,7 +472,7 @@ RefineStats refine_gpu(Mesh& m, gpu::Device& dev, const RefineOptions& opts) {
           phase_race(ctx);
           const std::uint32_t t = ctx.tid();
           if (!active[t]) return;
-          if (marks.try_claim(ctx, t, hood[t])) {
+          if (run.marks.try_claim(ctx, t, hood[t])) {
             owns[t] = 1;
             apply(ctx, t);
             // Unlock at the end of the operation.
@@ -362,7 +491,7 @@ RefineStats refine_gpu(Mesh& m, gpu::Device& dev, const RefineOptions& opts) {
         phases.push_back({[&](gpu::ThreadCtx& ctx) {
           const std::uint32_t t = ctx.tid();
           if (!active[t]) return;
-          if (marks.exact_check(ctx, t, hood[t])) {
+          if (run.marks.exact_check(ctx, t, hood[t])) {
             owns[t] = 1;
             apply(ctx, t);
           } else {
@@ -374,7 +503,7 @@ RefineStats refine_gpu(Mesh& m, gpu::Device& dev, const RefineOptions& opts) {
         phases.push_back({[&](gpu::ThreadCtx& ctx) {
           const std::uint32_t t = ctx.tid();
           if (!active[t]) return;
-          if (marks.priority_check(ctx, t, hood[t])) {
+          if (run.marks.priority_check(ctx, t, hood[t])) {
             owns[t] = 1;
             apply(ctx, t);
           } else {
@@ -386,12 +515,12 @@ RefineStats refine_gpu(Mesh& m, gpu::Device& dev, const RefineOptions& opts) {
         phases.push_back({[&](gpu::ThreadCtx& ctx) {
           const std::uint32_t t = ctx.tid();
           if (!active[t]) return;
-          owns[t] = marks.priority_check(ctx, t, hood[t]) ? 1 : 0;
+          owns[t] = run.marks.priority_check(ctx, t, hood[t]) ? 1 : 0;
         }, /*sequential=*/false});
         phases.push_back({[&](gpu::ThreadCtx& ctx) {
           const std::uint32_t t = ctx.tid();
           if (!active[t]) return;
-          if (owns[t] && marks.final_check(ctx, t, hood[t])) {
+          if (owns[t] && run.marks.final_check(ctx, t, hood[t])) {
             apply(ctx, t);
           } else {
             owns[t] = 0;
@@ -401,84 +530,21 @@ RefineStats refine_gpu(Mesh& m, gpu::Device& dev, const RefineOptions& opts) {
         break;
     }
     dev.launch_phases(lc, std::span<const gpu::Phase>(phases), opts.barrier);
-    if (injected_livelock) marks.set_force_ties(false);
-    st.processed += round_processed;
-    st.aborted += round_aborted;
-
-    // Live-lock watchdog (Sec. 7.3 + docs/RESILIENCE.md): the 3-phase
-    // protocol only terminates with high probability, so no-progress rounds
-    // are tracked and escalated. The default thresholds escalate on the
-    // first fully aborted round — the historical fallback — and never give
-    // up; campaigns tighten them to exercise the whole ladder.
-    const auto action = watchdog.observe(round_processed > 0);
-    if (action == resilience::LivelockWatchdog::Action::kGiveUp &&
-        bad_count > 0) {
-      throw FaultError(watchdog.give_up_status("dmr::refine_gpu"));
-    }
-    if (action == resilience::LivelockWatchdog::Action::kEscalate &&
-        bad_count > 0) {
-      // Serialized priority arbitration: refine one bad triangle with a
-      // single-thread kernel — trivially tie-free. When the invariant gate
-      // is on, the mesh is checkpointed first and rolled back if the
-      // escalation corrupts it.
-      ++st.fallbacks;
-      std::optional<Mesh> checkpoint;
-      if (opts.validate_invariants) checkpoint = m;
-      dev.launch({1, 1, "dmr.escalate"}, [&](gpu::ThreadCtx& ctx) {
-        for (Tri t = 0; t < m.num_slots(); ++t) {
-          ctx.work(1);
-          if (m.is_deleted(t) || !m.is_bad(t)) continue;
-          Cavity c = build_refinement_cavity(m, t, opts.use_float);
-          ctx.work(c.steps);
-          std::int64_t bad_in_cavity = 0;
-          for (Tri d : c.tris) bad_in_cavity += m.is_bad(d) ? 1 : 0;
-          const RetriangulateResult res = retriangulate(
-              m, c, cb, opts.recycle ? &recycler : nullptr, nullptr);
-          if (opts.recycle) {
-            for (Tri d : c.tris) recycler.give(d);
-          }
-          bad_count += static_cast<std::int64_t>(res.new_bad) - bad_in_cavity;
-          ++st.processed;
-          break;
-        }
-      });
-      if (opts.validate_invariants) {
-        gate_mesh_invariants(m, checkpoint, "dmr::refine_gpu escalation");
-      }
-      if (injected_livelock) {
-        dev.note_recovery(
-            "livelock watchdog escalated to serialized arbitration");
-      }
-    } else if (injected_livelock) {
-      dev.note_recovery("retrying round after forced priority ties");
-    }
-  }
-  MORPH_CHECK_MSG(bad_count == 0, "refinement hit the round limit");
-  if (opts.validate_invariants) {
-    std::optional<Mesh> no_checkpoint;
-    gate_mesh_invariants(m, no_checkpoint, "dmr::refine_gpu result");
+    run.end_round(round_processed, round_aborted);
   }
 
-  // Transfer of the refined mesh back to the host.
-  dev.note_copy(m.num_slots() * (3 * sizeof(Vtx) + 3 * sizeof(Tri)) +
-                m.num_points() * 2 * sizeof(double));
-
-  st.final_triangles = m.num_live();
-  st.wall_seconds = timer.seconds();
-  st.modeled_cycles = dev.stats().modeled_cycles;
-  return st;
+  copy_mesh();  // transfer of the refined mesh back to the host
+  return run.finish(timer);
 }
 
 RefineStats refine_gpu_datadriven(Mesh& m, gpu::Device& dev,
                                   const RefineOptions& opts) {
   Timer timer;
-  RefineStats st;
-  const double cb = cos_of_deg(opts.min_angle_deg);
   if (opts.layout_opt) m.compact_and_reorder();
-
-  std::int64_t bad_count =
+  GpuRefinement run("dmr::refine_gpu_datadriven", m, dev, opts);
+  run.bad_count =
       static_cast<std::int64_t>(m.compute_all_bad(opts.min_angle_deg));
-  st.initial_bad = static_cast<std::uint64_t>(bad_count);
+  run.stats.initial_bad = static_cast<std::uint64_t>(run.bad_count);
 
   // The centralized worklist. Sized generously; push failures fall back to
   // the next refill sweep. Attaching the device arms the overflow fault
@@ -513,28 +579,9 @@ RefineStats refine_gpu_datadriven(Mesh& m, gpu::Device& dev,
   };
   seed_worklist();
 
-  core::SlotRecycler recycler(opts.recycle ? 1u << 22 : 0u);
-  recycler.set_sanitizer(dev.sanitizer());
-  core::MarkTable marks(m.num_slots());
-  core::AdaptiveLauncher launcher(
-      opts.initial_tpb, 3,
-      std::clamp(static_cast<double>(m.num_slots()) /
-                     (16384.0 * dev.config().num_sms),
-                 3.0, 50.0));
-
-  resilience::LivelockWatchdog watchdog(opts.watchdog_escalate_after,
-                                        opts.watchdog_give_up_after);
-
-  while (bad_count > 0 && st.rounds < opts.max_rounds) {
-    ++st.rounds;
-    const bool injected_livelock =
-        inject_livelock_round(dev, marks, st.rounds);
-    const std::uint64_t nslots = m.num_slots();
-    gpu::LaunchConfig lc = launcher.next(dev.config());
-    lc.label = "dmr.refine.dd";
+  while (run.running()) {
+    const gpu::LaunchConfig lc = run.begin_round("dmr.refine.dd");
     const std::uint64_t T = lc.total_threads();
-    if (marks.size() < nslots) marks.resize(nslots + nslots / 2);
-    marks.reset();
 
     std::vector<Cavity> cav(T);
     std::vector<std::vector<Tri>> hood(T);
@@ -597,39 +644,28 @@ RefineStats refine_gpu_datadriven(Mesh& m, gpu::Device& dev,
           ctx.work(opts.use_float ? cav[t].steps / 2 : cav[t].steps);
           hood[t] = cav[t].neighborhood(m);
           charge_locality(ctx, cand[t], hood[t]);
-          marks.race_mark(ctx, t, hood[t]);
+          run.marks.race_mark(ctx, t, hood[t]);
         }, /*sequential=*/!sharded},
         {[&](gpu::ThreadCtx& ctx) {
           const std::uint32_t t = ctx.tid();
           if (cand[t] == Mesh::kNone) return;
-          owns[t] = marks.priority_check(ctx, t, hood[t]) ? 1 : 0;
+          owns[t] = run.marks.priority_check(ctx, t, hood[t]) ? 1 : 0;
         }, /*sequential=*/false},
         // Commit: mesh mutation and requeue pushes, in ascending thread
         // order on one host thread (see the topology-driven driver).
         {[&](gpu::ThreadCtx& ctx) {
           const std::uint32_t t = ctx.tid();
           if (cand[t] == Mesh::kNone) return;
-          if (owns[t] && marks.final_check(ctx, t, hood[t])) {
-            if (analysis::Sanitizer* s = ctx.san()) {
-              s->on_guarded_write(&marks, ctx.block(), t, hood[t]);
-            }
-            std::int64_t bad_in_cavity = 0;
-            for (Tri d : cav[t].tris) bad_in_cavity += m.is_bad(d) ? 1 : 0;
+          if (owns[t] && run.marks.final_check(ctx, t, hood[t])) {
             std::vector<Tri> added;
-            const RetriangulateResult res = retriangulate(
-                m, cav[t], cb, opts.recycle ? &recycler : nullptr, &added);
-            ctx.work(cav[t].tris.size() + added.size());
-            if (opts.recycle) {
-              for (Tri d : cav[t].tris) recycler.give(d);
-            }
+            run.bad_count +=
+                run.commit.apply(cav[t], added, &ctx, &run.marks, hood[t]);
             for (Tri a : added) {
               if (m.is_bad(a)) requeue(ctx, t, a);
             }
             if (!m.is_deleted(cand[t]) && m.is_bad(cand[t])) {
               requeue(ctx, t, cand[t]);  // segment-split leftovers
             }
-            bad_count += static_cast<std::int64_t>(res.new_bad) -
-                         bad_in_cavity;
             ++round_processed;
           } else {
             requeue(ctx, t, cand[t]);  // aborted: requeue
@@ -638,9 +674,6 @@ RefineStats refine_gpu_datadriven(Mesh& m, gpu::Device& dev,
         }, /*sequential=*/true},
     };
     dev.launch_phases(lc, phases, opts.barrier);
-    if (injected_livelock) marks.set_force_ties(false);
-    st.processed += round_processed;
-    st.aborted += round_aborted;
 
     // Hand leftover local-queue items back to the centralized list (they
     // are per-round temporaries; anything that does not fit is recovered by
@@ -668,66 +701,18 @@ RefineStats refine_gpu_datadriven(Mesh& m, gpu::Device& dev,
     const std::size_t wl_remaining =
         (sharded ? shards->size() : worklist.size()) +
         (sharded ? worklist.size() : 0);
-    if (bad_count > 0 && wl_remaining == 0) {
+    if (run.bad_count > 0 && wl_remaining == 0) {
       worklist.reset();
       if (sharded) shards->reset();
       seed_worklist();
-      ++st.fallbacks;
+      ++run.stats.fallbacks;
       if (dev.faults_armed()) {
         dev.note_recovery("worklist refill sweep rediscovered bad triangles");
       }
     }
-    // Live-lock watchdog, as in the topology-driven driver.
-    const auto action = watchdog.observe(round_processed > 0);
-    if (action == resilience::LivelockWatchdog::Action::kGiveUp &&
-        bad_count > 0) {
-      throw FaultError(watchdog.give_up_status("dmr::refine_gpu_datadriven"));
-    }
-    if (action == resilience::LivelockWatchdog::Action::kEscalate &&
-        bad_count > 0) {
-      ++st.fallbacks;
-      std::optional<Mesh> checkpoint;
-      if (opts.validate_invariants) checkpoint = m;
-      dev.launch({1, 1, "dmr.escalate"}, [&](gpu::ThreadCtx& ctx) {
-        for (Tri t = 0; t < m.num_slots(); ++t) {
-          ctx.work(1);
-          if (m.is_deleted(t) || !m.is_bad(t)) continue;
-          Cavity c = build_refinement_cavity(m, t, opts.use_float);
-          std::int64_t bad_in_cavity = 0;
-          for (Tri d : c.tris) bad_in_cavity += m.is_bad(d) ? 1 : 0;
-          const RetriangulateResult res = retriangulate(
-              m, c, cb, opts.recycle ? &recycler : nullptr, nullptr);
-          if (opts.recycle) {
-            for (Tri d : c.tris) recycler.give(d);
-          }
-          bad_count += static_cast<std::int64_t>(res.new_bad) - bad_in_cavity;
-          ++st.processed;
-          break;
-        }
-      });
-      if (opts.validate_invariants) {
-        gate_mesh_invariants(m, checkpoint,
-                             "dmr::refine_gpu_datadriven escalation");
-      }
-      if (injected_livelock) {
-        dev.note_recovery(
-            "livelock watchdog escalated to serialized arbitration");
-      }
-    } else if (injected_livelock) {
-      dev.note_recovery("retrying round after forced priority ties");
-    }
+    run.end_round(round_processed, round_aborted);
   }
-  MORPH_CHECK_MSG(bad_count == 0, "data-driven refinement stalled");
-  if (opts.validate_invariants) {
-    std::optional<Mesh> no_checkpoint;
-    gate_mesh_invariants(m, no_checkpoint,
-                         "dmr::refine_gpu_datadriven result");
-  }
-
-  st.final_triangles = m.num_live();
-  st.wall_seconds = timer.seconds();
-  st.modeled_cycles = dev.stats().modeled_cycles;
-  return st;
+  return run.finish(timer);
 }
 
 }  // namespace morph::dmr

@@ -40,10 +40,6 @@ struct RefineOptions {
   /// configuration must be provisioned for the peak parallelism, which is
   /// exactly what the adaptive scheme avoids early on (Sec. 7.4).
   std::uint32_t fixed_tpb = 512;
-  /// Blocks per SM; <= 0 selects automatically from the input size
-  /// (proportional, clamped to the paper's 3x..50x SM range).
-  double sm_factor = 0.0;
-  std::uint64_t max_rounds = 1u << 20;
 
   // --- resilience (docs/RESILIENCE.md) ---
 
@@ -105,9 +101,10 @@ RefineStats refine_gpu(Mesh& m, gpu::Device& dev,
 
 /// The *data-driven* alternative the paper rejects (Sec. 2): bad triangles
 /// are dispensed from a centralized worklist whose every push and pop is an
-/// atomic operation. Same 3-phase conflict resolution, same result; kept so
-/// the worklist ablation can quantify the centralized-queue bottleneck
-/// against the topology-driven local-worklist design.
+/// atomic operation. Same 3-phase conflict resolution, cavity commit, launch
+/// geometry and livelock escalation as refine_gpu, same result; kept so the
+/// worklist ablation can quantify the centralized-queue bottleneck against
+/// the topology-driven local-worklist design.
 RefineStats refine_gpu_datadriven(Mesh& m, gpu::Device& dev,
                                   const RefineOptions& opts = {});
 

@@ -66,8 +66,6 @@ struct DeviceConfig {
   /// scale: it never feeds back into the cost model.
   double clock_ghz = 1.0;
 
-  std::uint64_t shared_mem_bytes = 48 * 1024;  ///< per block (48 KB config)
-
   /// Number of host worker threads used to execute blocks. 0 means "auto":
   /// one worker per hardware thread (std::thread::hardware_concurrency).
   /// Modeled statistics are reduced per block in block order, so KernelStats

@@ -4,7 +4,9 @@
 #include <unordered_map>
 
 #include "graph/union_find.hpp"
+#include "gpu/charge.hpp"
 #include "support/check.hpp"
+#include "support/fnv.hpp"
 #include "support/timer.hpp"
 
 namespace morph::mst {
@@ -31,28 +33,6 @@ struct Candidate {
   Weight w = 0;
 };
 
-gpu::LaunchConfig inc_lc(std::size_t n, const char* label) {
-  const auto blocks =
-      static_cast<std::uint32_t>(std::min<std::size_t>(64, n / 256 + 1));
-  return {std::max(1u, blocks), 256, label};
-}
-
-/// Charges `per_item` cost units per element over `n` elements; the charge
-/// per thread is a pure function of tid and n, so stats are bit-identical
-/// for any host worker count.
-void charge(gpu::Device& dev, std::size_t n, const char* label,
-            std::uint64_t reads, std::uint64_t atomics) {
-  if (n == 0) return;
-  const gpu::LaunchConfig lc = inc_lc(n, label);
-  dev.launch(lc, [&](gpu::ThreadCtx& ctx) {
-    for (std::size_t i = ctx.tid(); i < n; i += ctx.grid_threads()) {
-      ctx.work(1);
-      ctx.global_access(reads);
-      if (atomics != 0) ctx.atomic_op(atomics);
-    }
-  });
-}
-
 /// Removes the first (v, w) entry from `list`; returns false when absent.
 bool erase_entry(std::vector<std::pair<Node, Weight>>& list, Node v,
                  Weight w) {
@@ -63,13 +43,6 @@ bool erase_entry(std::vector<std::pair<Node, Weight>>& list, Node v,
     }
   }
   return false;
-}
-
-void fnv_mix(std::uint64_t& h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xffu;
-    h *= 1099511628211ull;
-  }
 }
 
 }  // namespace
@@ -102,7 +75,7 @@ MstResult apply_updates(MstState& st, std::span<const EdgeUpdate> updates,
   if (updates.empty()) return res;
 
   // Seed: every update endpoint's *current* component is touched.
-  charge(dev, updates.size(), "mst.inc.seed", 2, 0);
+  gpu::charge(dev, updates.size(), "mst.inc.seed", 2, 0);
   std::vector<Node> seed_comps;
   for (const EdgeUpdate& e : updates) {
     MORPH_CHECK(e.u < st.n && e.v < st.n && e.u != e.v);
@@ -139,7 +112,7 @@ MstResult apply_updates(MstState& st, std::span<const EdgeUpdate> updates,
   }
   std::sort(affected.begin(), affected.end());
   for (std::uint32_t i = 0; i < affected.size(); ++i) local[affected[i]] = i;
-  charge(dev, affected.size(), "mst.inc.gather", 1, 0);
+  gpu::charge(dev, affected.size(), "mst.inc.gather", 1, 0);
 
   // Apply deletes; a forest-edge delete marks its component for rebuild.
   std::vector<Node> rebuild_comps;
@@ -196,7 +169,7 @@ MstResult apply_updates(MstState& st, std::span<const EdgeUpdate> updates,
   for (;;) {
     ++rounds;
     std::fill(best.begin(), best.end(), Candidate{});
-    charge(dev, cand.size(), "mst.inc.best", 2, 1);
+    gpu::charge(dev, cand.size(), "mst.inc.best", 2, 1);
     for (const Candidate& c : cand) {
       const std::uint32_t ru = uf.find(local[c.u]);
       const std::uint32_t rv = uf.find(local[c.v]);
@@ -204,7 +177,7 @@ MstResult apply_updates(MstState& st, std::span<const EdgeUpdate> updates,
       if (c.key < best[ru].key) best[ru] = c;
       if (c.key < best[rv].key) best[rv] = c;
     }
-    charge(dev, affected.size(), "mst.inc.merge", 1, 1);
+    gpu::charge(dev, affected.size(), "mst.inc.merge", 1, 1);
     bool merged = false;
     for (std::uint32_t r = 0; r < affected.size(); ++r) {
       const Candidate& b = best[r];
@@ -221,7 +194,7 @@ MstResult apply_updates(MstState& st, std::span<const EdgeUpdate> updates,
 
   // Commit: drop the touched region's old forest, install the new one, and
   // relabel components by minimum node id.
-  charge(dev, delta.size() + affected.size(), "mst.inc.commit", 2, 0);
+  gpu::charge(dev, delta.size() + affected.size(), "mst.inc.commit", 2, 0);
   for (const Node x : affected) {
     for (const auto& [y, w] : st.fadj[x]) {
       if (x < y) {
@@ -279,7 +252,7 @@ std::vector<std::pair<Node, Node>> forest_pairs(const MstState& st) {
 }
 
 std::uint64_t state_digest(const MstState& st) {
-  std::uint64_t h = 1469598103934665603ull;
+  std::uint64_t h = kFnvOffset;
   fnv_mix(h, st.n);
   fnv_mix(h, st.total_weight);
   fnv_mix(h, st.tree_edges);

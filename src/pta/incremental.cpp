@@ -2,33 +2,13 @@
 
 #include <algorithm>
 
+#include "gpu/charge.hpp"
 #include "support/check.hpp"
+#include "support/fnv.hpp"
 
 namespace morph::pta {
 
 namespace {
-
-gpu::LaunchConfig inc_lc(std::size_t n, const char* label) {
-  const auto blocks =
-      static_cast<std::uint32_t>(std::min<std::size_t>(64, n / 256 + 1));
-  return {std::max(1u, blocks), 256, label};
-}
-
-/// Charges one work unit plus `reads` global accesses per element over `n`
-/// elements; per-thread charges are a pure function of tid and n, so stats
-/// are bit-identical for any host worker count.
-void charge(gpu::Device& dev, std::size_t n, const char* label,
-            std::uint64_t reads, std::uint64_t atomics) {
-  if (n == 0) return;
-  const gpu::LaunchConfig lc = inc_lc(n, label);
-  dev.launch(lc, [&](gpu::ThreadCtx& ctx) {
-    for (std::size_t i = ctx.tid(); i < n; i += ctx.grid_threads()) {
-      ctx.work(1);
-      ctx.global_access(reads);
-      if (atomics != 0) ctx.atomic_op(atomics);
-    }
-  });
-}
 
 /// Sorted-set insert; returns true when `x` was new.
 bool insert_sorted(std::vector<Var>& set, Var x) {
@@ -36,13 +16,6 @@ bool insert_sorted(std::vector<Var>& set, Var x) {
   if (it != set.end() && *it == x) return false;
   set.insert(it, x);
   return true;
-}
-
-void fnv_mix(std::uint64_t& h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xffu;
-    h *= 1099511628211ull;
-  }
 }
 
 }  // namespace
@@ -114,7 +87,7 @@ PtaDelta apply_updates(PtaState& st, std::span<const Constraint> updates,
       }
     }
   }
-  charge(dev, updates.size() + ops, "pta.inc.ingest", 2, 0);
+  gpu::charge(dev, updates.size() + ops, "pta.inc.ingest", 2, 0);
 
   // Semi-naive rounds: propagate only each var's delta, in ascending var
   // order. All mutation is sequential host code; the device launches charge
@@ -138,7 +111,7 @@ PtaDelta apply_updates(PtaState& st, std::span<const Constraint> updates,
       for (const Var q : st.stores_to[v])
         for (const Var x : d) add_edge(q, x);  // new pointee: edge q -> x
     }
-    charge(dev, ops, "pta.inc.round", 2, 1);
+    gpu::charge(dev, ops, "pta.inc.round", 2, 1);
   }
 
   st.rounds += delta_out.rounds;
@@ -148,7 +121,7 @@ PtaDelta apply_updates(PtaState& st, std::span<const Constraint> updates,
 }
 
 std::uint64_t state_digest(const PtaState& st) {
-  std::uint64_t h = 1469598103934665603ull;
+  std::uint64_t h = kFnvOffset;
   fnv_mix(h, st.cs.num_vars);
   for (const std::vector<Var>& set : st.pts) {
     fnv_mix(h, set.size());

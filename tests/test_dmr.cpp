@@ -487,5 +487,61 @@ TEST(Mesh, CompactAndReorderPreservesGeometry) {
   EXPECT_TRUE(is_delaunay(copy));
 }
 
+// Zero-drift pins: the exact stats of every GPU refinement arm on one small
+// mesh at host_workers=1 — refine_gpu under each conflict scheme, both
+// data-driven worklist arms — plus the multicore baseline's modeled cycles.
+// Host-side rework of the drivers must leave every one of these
+// bit-identical (modeled cycles compared exactly).
+TEST(RefineGpu, SmallMeshStatsArePinned) {
+  enum class Driver { kTopology, kDataDriven, kDataDrivenSharded };
+  using core::ConflictScheme;
+  struct Pin {
+    const char* name;
+    Driver driver;
+    ConflictScheme scheme;
+    std::uint64_t rounds, processed, aborted;
+    double modeled_cycles;
+  };
+  const Pin pins[] = {
+      {"3-phase", Driver::kTopology, ConflictScheme::kThreePhase, 126, 1575,
+       18460, 976798.61338095239},
+      {"2-phase priority", Driver::kTopology,
+       ConflictScheme::kTwoPhasePriority, 126, 1575, 18460,
+       763386.39760714245},
+      {"2-phase race-check", Driver::kTopology,
+       ConflictScheme::kTwoPhaseRaceCheck, 126, 1575, 18460,
+       763386.39760714245},
+      {"locks", Driver::kTopology, ConflictScheme::kLocks, 49, 1656, 5449,
+       4185708.5583809526},
+      {"data-driven", Driver::kDataDriven, ConflictScheme::kThreePhase, 157,
+       1673, 25537, 28084148.37202381},
+      {"data-driven sharded", Driver::kDataDrivenSharded,
+       ConflictScheme::kThreePhase, 85, 1586, 10843, 653049.05357142841},
+  };
+  const Mesh base = generate_input_mesh(800, 31);
+  for (const Pin& p : pins) {
+    Mesh m = base;
+    gpu::Device dev(gpu::DeviceConfig{.host_workers = 1});
+    RefineOptions opts;
+    opts.scheme = p.scheme;
+    opts.sharded_worklist = p.driver == Driver::kDataDrivenSharded;
+    const RefineStats st = p.driver == Driver::kTopology
+                               ? refine_gpu(m, dev, opts)
+                               : refine_gpu_datadriven(m, dev, opts);
+    EXPECT_EQ(st.rounds, p.rounds) << p.name;
+    EXPECT_EQ(st.processed, p.processed) << p.name;
+    EXPECT_EQ(st.aborted, p.aborted) << p.name;
+    EXPECT_EQ(st.modeled_cycles, p.modeled_cycles) << p.name;
+    expect_refined(m, p.name);
+  }
+}
+
+TEST(RefineMulticore, ModeledCyclesArePinned) {
+  Mesh m = generate_input_mesh(800, 31);
+  cpu::ParallelRunner runner({.workers = 48});
+  const RefineStats st = refine_multicore(m, runner);
+  EXPECT_EQ(st.modeled_cycles, 67235.0);
+}
+
 }  // namespace
 }  // namespace morph::dmr

@@ -444,40 +444,59 @@ TEST(AppFaults, DmrLaunchFailureRecoversToIdenticalMesh) {
   EXPECT_GT(st.rounds, 0u);
 }
 
+// Both GPU drivers share one watchdog and escalation ladder; each must
+// reach it.
+dmr::RefineStats refine_on(bool data_driven, dmr::Mesh& m, gpu::Device& dev,
+                           const dmr::RefineOptions& opts) {
+  return data_driven ? dmr::refine_gpu_datadriven(m, dev, opts)
+                     : dmr::refine_gpu(m, dev, opts);
+}
+
 TEST(AppFaults, DmrLivelockEscalatesAndStaysValid) {
-  dmr::Mesh m = dmr::generate_input_mesh(300, 1);
-  dmr::RefineOptions opts;
-  opts.adaptive = false;
-  opts.fixed_tpb = 128;
-  opts.watchdog_escalate_after = 1;
-  opts.validate_invariants = true;  // checkpoint + gate each escalation
+  for (const bool data_driven : {false, true}) {
+    SCOPED_TRACE(data_driven ? "refine_gpu_datadriven" : "refine_gpu");
+    dmr::Mesh m = dmr::generate_input_mesh(300, 1);
+    dmr::RefineOptions opts;
+    opts.adaptive = false;
+    opts.fixed_tpb = 128;
+    opts.watchdog_escalate_after = 1;
+    opts.validate_invariants = true;  // checkpoint + gate each escalation
 
-  const FaultPlan plan = plan_of("livelock@1x2");
-  gpu::Device dev(gpu::DeviceConfig{.host_workers = 1, .faults = &plan});
-  const dmr::RefineStats st = dmr::refine_gpu(m, dev, opts);
+    const FaultPlan plan = plan_of("livelock@1x2");
+    gpu::Device dev(gpu::DeviceConfig{.host_workers = 1, .faults = &plan});
+    const dmr::RefineStats st = refine_on(data_driven, m, dev, opts);
 
-  EXPECT_GE(st.fallbacks, 1u);  // forced ties -> serialized arbitration
-  EXPECT_EQ(m.compute_all_bad(opts.min_angle_deg), 0u);
-  std::string why;
-  EXPECT_TRUE(m.validate(&why)) << why;
-  EXPECT_EQ(dev.stats().faults_injected, 2u);
-  EXPECT_GE(dev.stats().faults_recovered, 1u);
+    EXPECT_GE(st.fallbacks, 1u);  // forced ties -> serialized arbitration
+    EXPECT_EQ(m.compute_all_bad(opts.min_angle_deg), 0u);
+    std::string why;
+    EXPECT_TRUE(m.validate(&why)) << why;
+    EXPECT_EQ(dev.stats().faults_injected, 2u);
+    EXPECT_GE(dev.stats().faults_recovered, 1u);
+  }
 }
 
 TEST(AppFaults, DmrLivelockWatchdogGivesUpLoudly) {
-  dmr::Mesh m = dmr::generate_input_mesh(300, 1);
-  dmr::RefineOptions opts;
-  opts.adaptive = false;
-  opts.fixed_tpb = 128;
-  opts.watchdog_give_up_after = 1;  // one no-progress round is fatal
+  for (const bool data_driven : {false, true}) {
+    SCOPED_TRACE(data_driven ? "refine_gpu_datadriven" : "refine_gpu");
+    dmr::Mesh m = dmr::generate_input_mesh(300, 1);
+    dmr::RefineOptions opts;
+    opts.adaptive = false;
+    opts.fixed_tpb = 128;
+    opts.watchdog_give_up_after = 1;  // one no-progress round is fatal
 
-  const FaultPlan plan = plan_of("livelock@1x50");
-  gpu::Device dev(gpu::DeviceConfig{.host_workers = 1, .faults = &plan});
-  try {
-    dmr::refine_gpu(m, dev, opts);
-    FAIL() << "expected FaultError";
-  } catch (const FaultError& e) {
-    EXPECT_EQ(e.code(), StatusCode::kLivelock);
+    const FaultPlan plan = plan_of("livelock@1x50");
+    gpu::Device dev(gpu::DeviceConfig{.host_workers = 1, .faults = &plan});
+    try {
+      refine_on(data_driven, m, dev, opts);
+      FAIL() << "expected FaultError";
+    } catch (const FaultError& e) {
+      EXPECT_EQ(e.code(), StatusCode::kLivelock);
+      EXPECT_NE(std::string(e.what()).find(data_driven
+                                               ? "refine_gpu_datadriven"
+                                               : "refine_gpu:"),
+                std::string::npos)
+          << e.what();
+    }
   }
 }
 
