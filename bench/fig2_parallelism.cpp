@@ -27,6 +27,8 @@ int run_bench(int argc, char** argv) {
 
   Table t({"step", "available parallelism (independent cavities)"});
   std::size_t peak = 0, first = 0;
+  dmr::Cavity c;
+  std::vector<dmr::Tri> hood, created;
   for (int round = 0;; ++round) {
     std::vector<dmr::Tri> bad;
     for (dmr::Tri x = 0; x < m.num_slots(); ++x) {
@@ -37,8 +39,8 @@ int run_bench(int argc, char** argv) {
     std::size_t applied = 0;
     for (dmr::Tri x : bad) {
       if (m.is_deleted(x) || !m.is_bad(x)) continue;
-      dmr::Cavity c = dmr::build_refinement_cavity(m, x);
-      const auto hood = c.neighborhood(m);
+      dmr::build_refinement_cavity(m, x, /*use_float=*/false, c);
+      c.neighborhood(hood);
       bool free = true;
       for (dmr::Tri h : hood) {
         if (h < taken.size() && taken[h]) free = false;
@@ -47,7 +49,8 @@ int run_bench(int argc, char** argv) {
       for (dmr::Tri h : hood) {
         if (h < taken.size()) taken[h] = 1;
       }
-      dmr::retriangulate(m, c, cb);
+      created.clear();
+      dmr::retriangulate(m, c, cb, created);
       ++applied;
     }
     if (round == 0) first = applied;

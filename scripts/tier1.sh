@@ -227,10 +227,14 @@ else
 fi
 
 if echo 'int main(){return 0;}' | g++ -x c++ -fsanitize=address,undefined - -o /dev/null 2>/dev/null; then
-  echo "== tier 1: ASan+UBSan build (simulator suite + one bench) =="
+  echo "== tier 1: ASan+UBSan build (simulator suite, DMR drivers + one bench) =="
+  # test_dmr's RefineGpu, Cavity and Pinned cases drive the cavity buffers
+  # that are rebuilt in place and the per-thread arrays kept across rounds.
   cmake -B "$ASAN_BUILD" -S . -DMORPH_ASAN=ON -DMORPH_UBSAN=ON
-  cmake --build "$ASAN_BUILD" -j "$JOBS" --target test_gpu test_sancheck fig6_dmr_runtime
-  ctest --test-dir "$ASAN_BUILD" --output-on-failure -j "$JOBS" -R 'test_gpu|Sanitize|Seeded|CleanApps|Reporting'
+  cmake --build "$ASAN_BUILD" -j "$JOBS" --target test_gpu test_sancheck test_dmr fig6_dmr_runtime
+  # ctest names cases Suite.Case, so test_gpu runs as a whole binary.
+  "$ASAN_BUILD"/tests/test_gpu
+  ctest --test-dir "$ASAN_BUILD" --output-on-failure -j "$JOBS" -R 'Sanitize|Seeded|CleanApps|Reporting|RefineGpu|Cavity|Pinned'
   "$ASAN_BUILD"/bench/fig6_dmr_runtime --scale=64 --sanitize=all > /dev/null
 else
   echo "== tier 1: libasan/libubsan not available; skipping ASan+UBSan pass =="

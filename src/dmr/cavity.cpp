@@ -1,7 +1,7 @@
 #include "dmr/cavity.hpp"
 
 #include <algorithm>
-#include <unordered_map>
+#include <span>
 
 namespace morph::dmr {
 
@@ -27,7 +27,12 @@ struct ExpandResult {
   int seg_edge = -1;
 };
 
-/// BFS expansion of the cavity of p from `start`. Fills c.tris/frontier.
+bool contains(const std::vector<Tri>& v, Tri t) {
+  return std::find(v.begin(), v.end(), t) != v.end();
+}
+
+/// DFS expansion of the cavity of p from `start`, with `stack` as the
+/// caller's scratch. Fills c.tris/frontier and adds to c.steps.
 /// If `skip_tri/skip_edge` names a boundary segment (the one being split),
 /// that edge is excluded from the frontier. `check_encroachment` is set for
 /// refinement cavities only: a circumcenter inside the diametral circle of
@@ -35,14 +40,11 @@ struct ExpandResult {
 /// points are real input points and never move.
 ExpandResult expand(const Mesh& m, Pt64 p, Tri start, bool use_float,
                     Tri skip_tri, int skip_edge, bool check_encroachment,
-                    Cavity& c) {
+                    Cavity& c, std::vector<Tri>& stack) {
   ExpandResult r;
   c.tris.clear();
   c.frontier.clear();
-  std::vector<Tri> stack{start};
-  // Small meshes: a flat visited map is fine and keeps this allocation-light.
-  std::unordered_map<Tri, bool> in_cavity;
-  in_cavity[start] = true;
+  stack.assign(1, start);
   while (!stack.empty()) {
     const Tri t = stack.back();
     stack.pop_back();
@@ -69,10 +71,11 @@ ExpandResult expand(const Mesh& m, Pt64 p, Tri start, bool use_float,
         continue;
       }
       MORPH_CHECK(o != Mesh::kNone);
-      auto it = in_cavity.find(o);
-      if (it != in_cavity.end()) continue;  // already enqueued/visited
+      // Everything enqueued so far is either visited (in tris) or still on
+      // the stack; cavities hold a handful of triangles, so two linear scans
+      // beat any hashed visited set.
+      if (contains(c.tris, o) || contains(stack, o)) continue;
       if (circum_contains(m, o, p, use_float)) {
-        in_cavity[o] = true;
         stack.push_back(o);
       } else {
         c.frontier.push_back({a, b, o});
@@ -82,48 +85,58 @@ ExpandResult expand(const Mesh& m, Pt64 p, Tri start, bool use_float,
   return r;
 }
 
+/// Resets every result field of `c`; its vectors keep their storage.
+void reset(Cavity& c, Pt64 center) {
+  c.ok = false;
+  c.center = center;
+  c.tris.clear();
+  c.frontier.clear();
+  c.open_fan = false;
+  c.fan_start = c.fan_end = 0;
+  c.steps = 0;
+}
+
 }  // namespace
 
-std::vector<Tri> Cavity::neighborhood(const Mesh&) const {
-  std::vector<Tri> n = tris;
+void Cavity::neighborhood(std::vector<Tri>& out) const {
+  out.assign(tris.begin(), tris.end());
   for (const FrontierEdge& f : frontier) {
-    if (f.outside != Mesh::kBoundary) n.push_back(f.outside);
+    if (f.outside != Mesh::kBoundary) out.push_back(f.outside);
   }
-  std::sort(n.begin(), n.end());
-  n.erase(std::unique(n.begin(), n.end()), n.end());
-  return n;
+  std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
 }
 
-Cavity build_insertion_cavity(const Mesh& m, Tri start, Pt64 p) {
-  Cavity c;
-  c.center = p;
-  const ExpandResult r = expand(m, p, start, /*use_float=*/false, Mesh::kNone,
-                                -1, /*check_encroachment=*/false, c);
+void build_insertion_cavity(const Mesh& m, Tri start, Pt64 p, Cavity& out) {
+  reset(out, p);
+  const ExpandResult r =
+      expand(m, p, start, /*use_float=*/false, Mesh::kNone, -1,
+             /*check_encroachment=*/false, out, out.stack_);
   MORPH_CHECK_MSG(r.ok, "insertion cavity expansion failed");
-  c.ok = true;
-  return c;
+  out.ok = true;
 }
 
-Cavity build_refinement_cavity(const Mesh& m, Tri bad, bool use_float) {
-  Cavity c;
+void build_refinement_cavity(const Mesh& m, Tri bad, bool use_float,
+                             Cavity& out) {
   // First attempt: the circumcenter of the bad triangle.
   const auto& v = m.verts(bad);
-  c.center = circumcenter(m.point(v[0]), m.point(v[1]), m.point(v[2]));
+  reset(out, circumcenter(m.point(v[0]), m.point(v[1]), m.point(v[2])));
   Tri start = bad;
   Tri skip_tri = Mesh::kNone;
   int skip_edge = -1;
   for (int attempt = 0; attempt < 64; ++attempt) {
-    const ExpandResult r = expand(m, c.center, start, use_float, skip_tri,
-                                  skip_edge, /*check_encroachment=*/true, c);
+    const ExpandResult r =
+        expand(m, out.center, start, use_float, skip_tri, skip_edge,
+               /*check_encroachment=*/true, out, out.stack_);
     if (r.ok) {
-      c.ok = true;
+      out.ok = true;
       if (skip_edge >= 0) {
-        c.open_fan = true;
+        out.open_fan = true;
         const auto [a, b] = m.edge_verts(skip_tri, skip_edge);
-        c.fan_start = a;
-        c.fan_end = b;
+        out.fan_start = a;
+        out.fan_end = b;
       }
-      return c;
+      return;
     }
     // Encroached boundary segment: split it at its midpoint instead
     // (Ruppert's rule; may cascade to another segment).
@@ -131,16 +144,15 @@ Cavity build_refinement_cavity(const Mesh& m, Tri bad, bool use_float) {
     skip_tri = r.seg_tri;
     skip_edge = r.seg_edge;
     const auto [a, b] = m.edge_verts(skip_tri, skip_edge);
-    c.center = midpoint(m.point(a), m.point(b));
+    out.center = midpoint(m.point(a), m.point(b));
     start = skip_tri;
   }
   MORPH_CHECK_MSG(false, "segment-split cascade did not settle");
-  return c;
 }
 
 RetriangulateResult retriangulate(Mesh& m, const Cavity& c, double cos_bound,
-                                  core::SlotRecycler* recycler,
-                                  std::vector<Tri>* out_new) {
+                                  std::vector<Tri>& out_new,
+                                  core::SlotRecycler* recycler) {
   MORPH_CHECK(c.ok);
   MORPH_CHECK(!c.tris.empty());
   RetriangulateResult res;
@@ -149,9 +161,10 @@ RetriangulateResult retriangulate(Mesh& m, const Cavity& c, double cos_bound,
 
   for (Tri t : c.tris) m.mark_deleted(t);
 
-  // Create the fan of new triangles, one per frontier edge.
-  std::vector<Tri> created;
-  created.reserve(c.frontier.size());
+  // Create the fan of new triangles, one per frontier edge: frontier[i]
+  // becomes created[i].
+  const std::size_t n = c.frontier.size();
+  const std::size_t base = out_new.size();
   for (const FrontierEdge& f : c.frontier) {
     Tri slot = Mesh::kNone;
     if (recycler) {
@@ -162,41 +175,50 @@ RetriangulateResult retriangulate(Mesh& m, const Cavity& c, double cos_bound,
     } else {
       m.write_triangle(slot, p, f.a, f.b);
     }
-    created.push_back(slot);
+    out_new.push_back(slot);
   }
+  const std::span<const Tri> created(out_new.data() + base, n);
 
   // Wire adjacencies. Across the frontier edge: the outside triangle (or
-  // boundary). Around the fan: triangles sharing a (p, w) edge pair up; in
-  // an open fan the two extreme (p, w) edges become new hull edges.
-  std::unordered_map<Vtx, std::pair<Tri, Tri>> fan;  // vertex -> up to 2 tris
-  for (std::size_t i = 0; i < created.size(); ++i) {
+  // boundary).
+  for (std::size_t i = 0; i < n; ++i) {
     const Tri nt = created[i];
     const FrontierEdge& f = c.frontier[i];
-    const int outer_edge = m.edge_index(nt, f.a, f.b);
-    m.set_neighbor(nt, outer_edge, f.outside);
+    m.set_neighbor(nt, m.edge_index(nt, f.a, f.b), f.outside);
     if (f.outside != Mesh::kBoundary) {
       const int back = m.edge_index(f.outside, f.a, f.b);
       m.set_neighbor(f.outside, back, nt);
     }
-    for (Vtx w : {f.a, f.b}) {
-      auto [it, fresh] = fan.try_emplace(w, std::pair<Tri, Tri>{nt, Mesh::kNone});
-      if (!fresh) {
-        MORPH_CHECK_MSG(it->second.second == Mesh::kNone,
-                        "fan vertex shared by more than two new triangles");
-        it->second.second = nt;
-      }
-    }
   }
-  for (const auto& [w, pair] : fan) {
-    const auto [t1, t2] = pair;
-    if (t2 == Mesh::kNone) {
-      // Open-fan extreme: (p, w) is a new hull edge.
-      MORPH_CHECK_MSG(c.open_fan && (w == c.fan_start || w == c.fan_end),
-                      "dangling fan edge in a closed cavity");
-      m.set_neighbor(t1, m.edge_index(t1, p, w), Mesh::kBoundary);
-    } else {
-      m.set_neighbor(t1, m.edge_index(t1, p, w), t2);
-      m.set_neighbor(t2, m.edge_index(t2, p, w), t1);
+  // Around the fan: the triangles sharing a (p, w) edge pair up; in an open
+  // fan the two extreme (p, w) edges become new hull edges. Each fan vertex
+  // is paired at its first frontier occurrence by scanning the later edges
+  // for its other one.
+  const auto touches = [&](std::size_t j, Vtx w) {
+    return c.frontier[j].a == w || c.frontier[j].b == w;
+  };
+  for (std::size_t i = 0; i < n; ++i) {
+    for (Vtx w : {c.frontier[i].a, c.frontier[i].b}) {
+      bool seen = false;
+      for (std::size_t j = 0; j < i && !seen; ++j) seen = touches(j, w);
+      if (seen) continue;
+      const Tri t1 = created[i];
+      Tri t2 = Mesh::kNone;
+      for (std::size_t j = i + 1; j < n; ++j) {
+        if (!touches(j, w)) continue;
+        MORPH_CHECK_MSG(t2 == Mesh::kNone,
+                        "fan vertex shared by more than two new triangles");
+        t2 = created[j];
+      }
+      if (t2 == Mesh::kNone) {
+        // Open-fan extreme: (p, w) is a new hull edge.
+        MORPH_CHECK_MSG(c.open_fan && (w == c.fan_start || w == c.fan_end),
+                        "dangling fan edge in a closed cavity");
+        m.set_neighbor(t1, m.edge_index(t1, p, w), Mesh::kBoundary);
+      } else {
+        m.set_neighbor(t1, m.edge_index(t1, p, w), t2);
+        m.set_neighbor(t2, m.edge_index(t2, p, w), t1);
+      }
     }
   }
 
@@ -205,8 +227,7 @@ RetriangulateResult retriangulate(Mesh& m, const Cavity& c, double cos_bound,
     m.set_bad(nt, bad);
     res.new_bad += bad ? 1 : 0;
   }
-  res.new_tris = static_cast<std::uint32_t>(created.size());
-  if (out_new) out_new->insert(out_new->end(), created.begin(), created.end());
+  res.new_tris = static_cast<std::uint32_t>(n);
   return res;
 }
 

@@ -21,6 +21,10 @@ struct FrontierEdge {
   Tri outside = Mesh::kBoundary;  ///< triangle across, or kBoundary
 };
 
+/// A cavity and the scratch its builders reuse. The builders below rebuild
+/// one in place, reusing its vectors' storage, so a caller that keeps one
+/// Cavity per logical thread builds cavities without allocating once the
+/// vectors have grown to the largest cavity seen.
 struct Cavity {
   bool ok = false;
   Pt64 center{};               ///< point to insert
@@ -30,22 +34,30 @@ struct Cavity {
   Vtx fan_start = 0, fan_end = 0;  ///< split-segment endpoints (open fan)
   std::uint64_t steps = 0;     ///< counted work (for the cost model)
 
-  /// The conflict neighborhood: cavity triangles plus the ring of outside
+  /// Writes the conflict neighborhood into `out` (replacing its contents),
+  /// sorted and deduplicated: cavity triangles plus the ring of outside
   /// triangles whose adjacency slots re-triangulation writes.
-  std::vector<Tri> neighborhood(const Mesh& m) const;
+  void neighborhood(std::vector<Tri>& out) const;
+
+ private:
+  friend void build_insertion_cavity(const Mesh&, Tri, Pt64, Cavity&);
+  friend void build_refinement_cavity(const Mesh&, Tri, bool, Cavity&);
+  std::vector<Tri> stack_;  ///< DFS stack of the builders; empty after one
 };
 
-/// Cavity for inserting point p, starting from a triangle whose circumcircle
-/// contains p (for Bowyer-Watson, the triangle containing p). No boundary
-/// encroachment handling: p must lie strictly inside the hull.
-Cavity build_insertion_cavity(const Mesh& m, Tri start, Pt64 p);
+/// Builds into `out` the cavity for inserting point p, starting from a
+/// triangle whose circumcircle contains p (for Bowyer-Watson, the triangle
+/// containing p). No boundary encroachment handling: p must lie strictly
+/// inside the hull. Every field of `out` is overwritten.
+void build_insertion_cavity(const Mesh& m, Tri start, Pt64 p, Cavity& out);
 
-/// Cavity for refining bad triangle `bad`: tries the circumcenter; if it
-/// encroaches a boundary segment on the cavity frontier, switches to
-/// splitting that segment at its midpoint (possibly cascading). When
-/// `use_float` is set the containment tests run in single precision (the
-/// Fig. 8 row-7 optimization).
-Cavity build_refinement_cavity(const Mesh& m, Tri bad, bool use_float = false);
+/// Builds into `out` the cavity for refining bad triangle `bad`: tries the
+/// circumcenter; if it encroaches a boundary segment on the cavity frontier,
+/// switches to splitting that segment at its midpoint (possibly cascading).
+/// When `use_float` is set the containment tests run in single precision
+/// (the Fig. 8 row-7 optimization). Every field of `out` is overwritten.
+void build_refinement_cavity(const Mesh& m, Tri bad, bool use_float,
+                             Cavity& out);
 
 struct RetriangulateResult {
   Vtx new_vertex = 0;
@@ -54,13 +66,13 @@ struct RetriangulateResult {
 };
 
 /// Deletes the cavity triangles, inserts the center point, creates the fan
-/// of new triangles and wires all adjacencies. New-triangle slots come from
-/// `recycler` when provided (the Recycle strategy), else are appended. New
-/// triangle ids are appended to *out_new when non-null. cos_bound classifies
-/// the new triangles' bad flags.
+/// of new triangles and wires all adjacencies. The new triangle ids are
+/// appended to `out_new`, in frontier order. New-triangle slots come from
+/// `recycler` when provided (the Recycle strategy), else are appended.
+/// cos_bound classifies the new triangles' bad flags.
 RetriangulateResult retriangulate(Mesh& m, const Cavity& c, double cos_bound,
-                                  core::SlotRecycler* recycler = nullptr,
-                                  std::vector<Tri>* out_new = nullptr);
+                                  std::vector<Tri>& out_new,
+                                  core::SlotRecycler* recycler = nullptr);
 
 /// Walks from `hint` to the triangle containing p (orientation walk with a
 /// linear-scan fallback). Used by the Bowyer-Watson triangulator.

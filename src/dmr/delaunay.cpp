@@ -31,6 +31,7 @@ Mesh triangulate_square(std::span<const Pt64> points) {
   });
 
   Tri hint = t0;
+  Cavity c;
   std::vector<Tri> created;
   const double cos_bound = cos_of_deg(30.0);
   for (std::uint32_t idx : order) {
@@ -39,9 +40,9 @@ Mesh triangulate_square(std::span<const Pt64> points) {
                     "point outside the unit square");
     const Tri at = locate_triangle(m, hint, p, nullptr);
     MORPH_CHECK_MSG(at != Mesh::kNone, "point location failed");
-    Cavity c = build_insertion_cavity(m, at, p);
+    build_insertion_cavity(m, at, p, c);
     created.clear();
-    retriangulate(m, c, cos_bound, nullptr, &created);
+    retriangulate(m, c, cos_bound, created);
     hint = created.empty() ? Mesh::kNone : created.front();
   }
   return m;

@@ -6,7 +6,6 @@
 #include <span>
 #include <string>
 #include <type_traits>
-#include <unordered_map>
 #include <vector>
 
 #include "core/adaptive.hpp"
@@ -96,7 +95,7 @@ class CavityCommit {
     for (Tri d : c.tris) bad_in_cavity += m_.is_bad(d) ? 1 : 0;
     added.clear();
     const RetriangulateResult res =
-        retriangulate(m_, c, cb_, recycle_ ? &recycler_ : nullptr, &added);
+        retriangulate(m_, c, cb_, added, recycle_ ? &recycler_ : nullptr);
     if (ctx) ctx->work(c.tris.size() + added.size());
     if (recycle_) {
       for (Tri d : c.tris) recycler_.give(d);
@@ -135,7 +134,8 @@ class GpuRefinement {
   /// Opens a round: arms MarkTable::force_ties when the campaign injects a
   /// livelock at this round's opportunity, picks the launch geometry — the
   /// adaptive scheme (Sec. 7.4) or the fixed configuration it is ablated
-  /// against — and clears the mark table.
+  /// against — clears the mark table and gives every logical thread a
+  /// cavity slot and a cleared `owns` flag.
   gpu::LaunchConfig begin_round(const char* label) {
     ++stats.rounds;
     injected_livelock_ =
@@ -154,6 +154,12 @@ class GpuRefinement {
     const std::uint64_t nslots = m_.num_slots();
     if (marks.size() < nslots) marks.resize(nslots + nslots / 2);
     marks.reset();
+    const std::uint64_t T = lc.total_threads();
+    if (cav.size() < T) {
+      cav.resize(T);
+      hood.resize(T);
+    }
+    owns.assign(T, 0);
     return lc;
   }
 
@@ -200,6 +206,13 @@ class GpuRefinement {
 
   CavityCommit commit;
   core::MarkTable marks;
+  // Per-thread cavity state, kept across rounds so each logical thread
+  // rebuilds its cavity and neighborhood in place; `added` is only touched
+  // by the sequential commit phases.
+  std::vector<Cavity> cav;
+  std::vector<std::vector<Tri>> hood;
+  std::vector<std::uint8_t> owns;
+  std::vector<Tri> added;
   const double sm_factor;
   std::int64_t bad_count = 0;
   RefineStats stats;
@@ -207,9 +220,9 @@ class GpuRefinement {
  private:
   /// Serialized priority arbitration: refine one bad triangle with a
   /// single-thread kernel — trivially tie-free. The kernel is charged its
-  /// scan and its cavity build; the commit itself is not. When the
-  /// invariant gate is on, the mesh is checkpointed first and rolled back
-  /// if the escalation corrupts it.
+  /// scan, its cavity build and its commit, like any other GPU commit.
+  /// When the invariant gate is on, the mesh is checkpointed first and
+  /// rolled back if the escalation corrupts it.
   void escalate() {
     ++stats.fallbacks;
     std::optional<Mesh> checkpoint;
@@ -218,10 +231,10 @@ class GpuRefinement {
       for (Tri t = 0; t < m_.num_slots(); ++t) {
         ctx.work(1);
         if (m_.is_deleted(t) || !m_.is_bad(t)) continue;
-        const Cavity c = build_refinement_cavity(m_, t, opts_.use_float);
+        Cavity c;
+        build_refinement_cavity(m_, t, opts_.use_float, c);
         ctx.work(c.steps);
-        std::vector<Tri> added;
-        bad_count += commit.apply(c, added);
+        bad_count += commit.apply(c, added, &ctx);
         ++stats.processed;
         break;
       }
@@ -255,12 +268,14 @@ RefineStats refine_serial(Mesh& m, const RefineOptions& opts) {
     if (!m.is_deleted(t) && m.is_bad(t)) work.push_back(t);
   }
 
+  Cavity c;
   std::vector<Tri> added;
   while (!work.empty()) {
     const Tri t = work.back();
     work.pop_back();
     if (m.is_deleted(t) || !m.is_bad(t)) continue;
-    commit.apply(build_refinement_cavity(m, t, opts.use_float), added);
+    build_refinement_cavity(m, t, opts.use_float, c);
+    commit.apply(c, added);
     for (Tri a : added) {
       if (m.is_bad(a)) work.push_back(a);
     }
@@ -288,31 +303,42 @@ RefineStats refine_multicore(Mesh& m, cpu::ParallelRunner& runner,
   }
 
   std::vector<Tri> next;
+  // The runner executes items one after another, so one cavity, one
+  // neighborhood and one commit buffer serve every item.
+  Cavity c;
+  std::vector<Tri> hood;
   std::vector<Tri> added;
+  // Speculation state, element -> claiming item index, valid for the round
+  // it is stamped with; grown with the mesh.
+  struct Claim {
+    std::uint64_t round = 0;
+    std::uint64_t item = 0;
+  };
+  std::vector<Claim> claims;
   while (!candidates.empty() && st.rounds < kMaxRounds) {
     ++st.rounds;
     next.clear();
-    // Per-round speculation state: element -> claiming item index.
-    std::unordered_map<Tri, std::uint64_t> claims;
     runner.round(candidates.size(), [&](cpu::WorkerCtx& ctx,
                                         std::uint64_t i) {
       const Tri t = candidates[i];
       ctx.work(1);
       if (m.is_deleted(t) || !m.is_bad(t)) return;
-      const Cavity c = build_refinement_cavity(m, t, opts.use_float);
+      build_refinement_cavity(m, t, opts.use_float, c);
       ctx.work(c.steps);
-      const std::vector<Tri> hood = c.neighborhood(m);
+      c.neighborhood(hood);
       // Optimistic per-element locking, Galois style: abort on conflict.
       ctx.sync_op(hood.size());
+      if (claims.size() < m.num_slots()) {
+        claims.resize(m.num_slots() + m.num_slots() / 2);
+      }
       for (Tri e : hood) {
-        auto it = claims.find(e);
-        if (it != claims.end() && it->second != i) {
+        if (claims[e].round == st.rounds && claims[e].item != i) {
           ++st.aborted;
           next.push_back(t);  // retry next round
           return;
         }
       }
-      for (Tri e : hood) claims[e] = i;
+      for (Tri e : hood) claims[e] = {st.rounds, i};
       commit.apply(c, added, &ctx);
       for (Tri a : added) {
         if (m.is_bad(a)) next.push_back(a);
@@ -380,6 +406,10 @@ RefineStats refine_gpu(Mesh& m, gpu::Device& dev, const RefineOptions& opts) {
   }
   run.stats.initial_bad = static_cast<std::uint64_t>(run.bad_count);
 
+  std::vector<Cavity>& cav = run.cav;
+  std::vector<std::vector<Tri>>& hood = run.hood;
+  std::vector<std::uint8_t>& owns = run.owns;
+  std::vector<std::uint8_t> active;
   while (run.running()) {
     const gpu::LaunchConfig lc = run.begin_round("dmr.refine");
     const std::uint64_t nslots = m.num_slots();
@@ -393,9 +423,7 @@ RefineStats refine_gpu(Mesh& m, gpu::Device& dev, const RefineOptions& opts) {
                         8);
 
     const std::uint64_t chunk = (nslots + T - 1) / T;
-    std::vector<Cavity> cav(T);
-    std::vector<std::vector<Tri>> hood(T);
-    std::vector<std::uint8_t> active(T, 0), owns(T, 0);
+    active.assign(T, 0);
     // Touched only in sequential commit phases (see below): plain counters.
     std::uint64_t round_processed = 0, round_aborted = 0;
 
@@ -432,11 +460,11 @@ RefineStats refine_gpu(Mesh& m, gpu::Device& dev, const RefineOptions& opts) {
         ctx.work(scanned);
       }
       if (target == Mesh::kNone) return;
-      cav[t] = build_refinement_cavity(m, target, opts.use_float);
+      build_refinement_cavity(m, target, opts.use_float, cav[t]);
       // Single-precision containment tests (Fig. 8 row 7): half the
       // arithmetic and memory traffic of the double-precision path.
       ctx.work(opts.use_float ? cav[t].steps / 2 : cav[t].steps);
-      hood[t] = cav[t].neighborhood(m);
+      cav[t].neighborhood(hood[t]);
       charge_locality(ctx, target, hood[t]);
       active[t] = 1;
       if (opts.scheme != core::ConflictScheme::kLocks) {
@@ -455,9 +483,8 @@ RefineStats refine_gpu(Mesh& m, gpu::Device& dev, const RefineOptions& opts) {
     // host_workers value. All parallel wall-clock gain lives in the cavity
     // building of the race phase, which stays block-parallel.
     auto apply = [&](gpu::ThreadCtx& ctx, std::uint32_t t) {
-      std::vector<Tri> added;
       run.bad_count +=
-          run.commit.apply(cav[t], added, &ctx, &run.marks, hood[t]);
+          run.commit.apply(cav[t], run.added, &ctx, &run.marks, hood[t]);
       ++round_processed;
     };
 
@@ -579,14 +606,16 @@ RefineStats refine_gpu_datadriven(Mesh& m, gpu::Device& dev,
   };
   seed_worklist();
 
+  std::vector<Cavity>& cav = run.cav;
+  std::vector<std::vector<Tri>>& hood = run.hood;
+  std::vector<std::uint8_t>& owns = run.owns;
+  std::vector<Tri>& added = run.added;
+  std::vector<Tri> cand;
   while (run.running()) {
     const gpu::LaunchConfig lc = run.begin_round("dmr.refine.dd");
     const std::uint64_t T = lc.total_threads();
 
-    std::vector<Cavity> cav(T);
-    std::vector<std::vector<Tri>> hood(T);
-    std::vector<Tri> cand(T, Mesh::kNone);
-    std::vector<std::uint8_t> owns(T, 0);
+    cand.assign(T, Mesh::kNone);
     // Touched only in the sequential commit phase: plain counters.
     std::uint64_t round_processed = 0, round_aborted = 0;
 
@@ -640,9 +669,9 @@ RefineStats refine_gpu_datadriven(Mesh& m, gpu::Device& dev,
               break;
             }
           }
-          cav[t] = build_refinement_cavity(m, cand[t], opts.use_float);
+          build_refinement_cavity(m, cand[t], opts.use_float, cav[t]);
           ctx.work(opts.use_float ? cav[t].steps / 2 : cav[t].steps);
-          hood[t] = cav[t].neighborhood(m);
+          cav[t].neighborhood(hood[t]);
           charge_locality(ctx, cand[t], hood[t]);
           run.marks.race_mark(ctx, t, hood[t]);
         }, /*sequential=*/!sharded},
@@ -657,7 +686,6 @@ RefineStats refine_gpu_datadriven(Mesh& m, gpu::Device& dev,
           const std::uint32_t t = ctx.tid();
           if (cand[t] == Mesh::kNone) return;
           if (owns[t] && run.marks.final_check(ctx, t, hood[t])) {
-            std::vector<Tri> added;
             run.bad_count +=
                 run.commit.apply(cav[t], added, &ctx, &run.marks, hood[t]);
             for (Tri a : added) {

@@ -3,14 +3,18 @@
 // refinement drivers (serial / multicore / GPU) across schemes and options.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <type_traits>
+#include <vector>
 
 #include "dmr/cavity.hpp"
 #include "dmr/delaunay.hpp"
 #include "dmr/geometry.hpp"
 #include "dmr/mesh.hpp"
 #include "dmr/refine.hpp"
+#include "support/fnv.hpp"
 #include "support/rng.hpp"
 
 namespace morph::dmr {
@@ -196,7 +200,8 @@ TEST(Cavity, InsertionCavityCoversCircumcircleContainment) {
   const Pt64 p{0.5, 0.5};
   const Tri at = locate_triangle(m, 0, p, nullptr);
   ASSERT_NE(at, Mesh::kNone);
-  Cavity c = build_insertion_cavity(m, at, p);
+  Cavity c;
+  build_insertion_cavity(m, at, p, c);
   EXPECT_TRUE(c.ok);
   EXPECT_FALSE(c.tris.empty());
   EXPECT_GE(c.frontier.size(), c.tris.size() + 2);
@@ -211,9 +216,12 @@ TEST(Cavity, RetriangulationKeepsMeshValidAndDelaunay) {
   Mesh m = generate_input_mesh(300, 6);
   const Pt64 p{0.37, 0.61};
   const Tri at = locate_triangle(m, 0, p, nullptr);
-  Cavity c = build_insertion_cavity(m, at, p);
+  Cavity c;
+  build_insertion_cavity(m, at, p, c);
   const std::size_t before = m.num_live();
-  retriangulate(m, c, cos_of_deg(30.0));
+  std::vector<Tri> created;
+  retriangulate(m, c, cos_of_deg(30.0), created);
+  EXPECT_EQ(created.size(), c.frontier.size());
   EXPECT_EQ(m.num_live(), before - c.tris.size() + c.frontier.size());
   std::string why;
   EXPECT_TRUE(m.validate(&why)) << why;
@@ -231,9 +239,11 @@ TEST(Cavity, NeighborhoodIncludesOutsideRing) {
     }
   }
   ASSERT_NE(bad, Mesh::kNone);
-  Cavity c = build_refinement_cavity(m, bad);
+  Cavity c;
+  build_refinement_cavity(m, bad, /*use_float=*/false, c);
   ASSERT_TRUE(c.ok);
-  const auto hood = c.neighborhood(m);
+  std::vector<Tri> hood;
+  c.neighborhood(hood);
   for (Tri t : c.tris) {
     EXPECT_TRUE(std::binary_search(hood.begin(), hood.end(), t));
   }
@@ -242,6 +252,67 @@ TEST(Cavity, NeighborhoodIncludesOutsideRing) {
       EXPECT_TRUE(std::binary_search(hood.begin(), hood.end(), f.outside));
     }
   }
+}
+
+void expect_same_cavity(const Cavity& got, const Cavity& want) {
+  EXPECT_EQ(got.ok, want.ok);
+  EXPECT_EQ(got.center.x, want.center.x);
+  EXPECT_EQ(got.center.y, want.center.y);
+  EXPECT_EQ(got.open_fan, want.open_fan);
+  EXPECT_EQ(got.fan_start, want.fan_start);
+  EXPECT_EQ(got.fan_end, want.fan_end);
+  EXPECT_EQ(got.steps, want.steps);
+  EXPECT_EQ(got.tris, want.tris);
+  ASSERT_EQ(got.frontier.size(), want.frontier.size());
+  for (std::size_t i = 0; i < got.frontier.size(); ++i) {
+    EXPECT_EQ(got.frontier[i].a, want.frontier[i].a) << i;
+    EXPECT_EQ(got.frontier[i].b, want.frontier[i].b) << i;
+    EXPECT_EQ(got.frontier[i].outside, want.frontier[i].outside) << i;
+  }
+}
+
+TEST(Cavity, RebuildInPlaceMatchesFreshBuild) {
+  // One Cavity reused for a segment split (open fan), then a closed
+  // refinement cavity, then an insertion cavity: every build must leave no
+  // trace of the one before, field by field and in the same DFS order.
+  Mesh m = generate_input_mesh(300, 7);
+  m.compute_all_bad(30.0);
+  Tri split = Mesh::kNone, closed = Mesh::kNone;
+  for (Tri t = 0; t < m.num_slots(); ++t) {
+    if (m.is_deleted(t) || !m.is_bad(t)) continue;
+    Cavity probe;
+    build_refinement_cavity(m, t, /*use_float=*/false, probe);
+    Tri& slot = probe.open_fan ? split : closed;
+    if (slot == Mesh::kNone) slot = t;
+  }
+  ASSERT_NE(split, Mesh::kNone) << "no segment split in the test mesh";
+  ASSERT_NE(closed, Mesh::kNone);
+
+  Cavity reused;
+  Cavity fresh_split, fresh_closed, fresh_insert;
+  build_refinement_cavity(m, split, /*use_float=*/false, fresh_split);
+  build_refinement_cavity(m, closed, /*use_float=*/false, fresh_closed);
+  const Pt64 p{0.5, 0.5};
+  const Tri at = locate_triangle(m, 0, p, nullptr);
+  ASSERT_NE(at, Mesh::kNone);
+  build_insertion_cavity(m, at, p, fresh_insert);
+  ASSERT_TRUE(fresh_split.open_fan);
+  ASSERT_FALSE(fresh_closed.open_fan);
+
+  build_refinement_cavity(m, split, /*use_float=*/false, reused);
+  expect_same_cavity(reused, fresh_split);
+  build_refinement_cavity(m, closed, /*use_float=*/false, reused);
+  expect_same_cavity(reused, fresh_closed);
+  build_insertion_cavity(m, at, p, reused);
+  expect_same_cavity(reused, fresh_insert);
+
+  // The neighborhood buffer is replaced, not appended to.
+  std::vector<Tri> hood{Mesh::kNone, 0};
+  fresh_closed.neighborhood(hood);
+  std::vector<Tri> want;
+  fresh_closed.neighborhood(want);
+  EXPECT_EQ(hood, want);
+  EXPECT_TRUE(std::is_sorted(hood.begin(), hood.end()));
 }
 
 // ---- refinement drivers ----
@@ -487,11 +558,33 @@ TEST(Mesh, CompactAndReorderPreservesGeometry) {
   EXPECT_TRUE(is_delaunay(copy));
 }
 
-// Zero-drift pins: the exact stats of every GPU refinement arm on one small
-// mesh at host_workers=1 — refine_gpu under each conflict scheme, both
-// data-driven worklist arms — plus the multicore baseline's modeled cycles.
-// Host-side rework of the drivers must leave every one of these
-// bit-identical (modeled cycles compared exactly).
+/// FNV-1a over a mesh's vertex coordinates and, slot by slot, its
+/// triangle-vertex and neighbour arrays and tombstones: equal digests mean
+/// the same mesh in the same slot order.
+std::uint64_t mesh_digest(const Mesh& m) {
+  std::uint64_t h = kFnvOffset;
+  fnv_mix(h, m.num_points());
+  for (Vtx v = 0; v < m.num_points(); ++v) {
+    fnv_mix(h, std::bit_cast<std::uint64_t>(m.point(v).x));
+    fnv_mix(h, std::bit_cast<std::uint64_t>(m.point(v).y));
+  }
+  fnv_mix(h, m.num_slots());
+  for (Tri t = 0; t < m.num_slots(); ++t) {
+    for (int i = 0; i < 3; ++i) {
+      fnv_mix(h, m.verts(t)[i]);
+      fnv_mix(h, m.neighbors(t)[i]);
+    }
+    fnv_mix(h, m.is_deleted(t) ? 1 : 0);
+  }
+  return h;
+}
+
+// Zero-drift pins: the exact stats and the refined mesh (slot order
+// included) of every GPU refinement arm on one small mesh at one and four
+// host workers — refine_gpu under each conflict scheme, both data-driven
+// worklist arms — plus the multicore and serial baselines. Host-side rework
+// of the drivers must leave every one of these bit-identical (modeled
+// cycles compared exactly).
 TEST(RefineGpu, SmallMeshStatsArePinned) {
   enum class Driver { kTopology, kDataDriven, kDataDrivenSharded };
   using core::ConflictScheme;
@@ -501,38 +594,45 @@ TEST(RefineGpu, SmallMeshStatsArePinned) {
     ConflictScheme scheme;
     std::uint64_t rounds, processed, aborted;
     double modeled_cycles;
+    std::uint64_t mesh_digest;
   };
   const Pin pins[] = {
       {"3-phase", Driver::kTopology, ConflictScheme::kThreePhase, 126, 1575,
-       18460, 976798.61338095239},
+       18460, 976798.61338095239, 10517995261475941567ull},
       {"2-phase priority", Driver::kTopology,
        ConflictScheme::kTwoPhasePriority, 126, 1575, 18460,
-       763386.39760714245},
+       763386.39760714245, 10517995261475941567ull},
       {"2-phase race-check", Driver::kTopology,
        ConflictScheme::kTwoPhaseRaceCheck, 126, 1575, 18460,
-       763386.39760714245},
+       763386.39760714245, 10517995261475941567ull},
       {"locks", Driver::kTopology, ConflictScheme::kLocks, 49, 1656, 5449,
-       4185708.5583809526},
+       4185708.5583809526, 5357858167082275180ull},
       {"data-driven", Driver::kDataDriven, ConflictScheme::kThreePhase, 157,
-       1673, 25537, 28084148.37202381},
+       1673, 25537, 28084148.37202381, 8588476395162553450ull},
       {"data-driven sharded", Driver::kDataDrivenSharded,
-       ConflictScheme::kThreePhase, 85, 1586, 10843, 653049.05357142841},
+       ConflictScheme::kThreePhase, 85, 1586, 10843, 653049.05357142841,
+       210539082741541482ull},
   };
   const Mesh base = generate_input_mesh(800, 31);
   for (const Pin& p : pins) {
-    Mesh m = base;
-    gpu::Device dev(gpu::DeviceConfig{.host_workers = 1});
-    RefineOptions opts;
-    opts.scheme = p.scheme;
-    opts.sharded_worklist = p.driver == Driver::kDataDrivenSharded;
-    const RefineStats st = p.driver == Driver::kTopology
-                               ? refine_gpu(m, dev, opts)
-                               : refine_gpu_datadriven(m, dev, opts);
-    EXPECT_EQ(st.rounds, p.rounds) << p.name;
-    EXPECT_EQ(st.processed, p.processed) << p.name;
-    EXPECT_EQ(st.aborted, p.aborted) << p.name;
-    EXPECT_EQ(st.modeled_cycles, p.modeled_cycles) << p.name;
-    expect_refined(m, p.name);
+    for (const std::uint32_t workers : {1u, 4u}) {
+      SCOPED_TRACE(::testing::Message()
+                   << p.name << " host_workers=" << workers);
+      Mesh m = base;
+      gpu::Device dev(gpu::DeviceConfig{.host_workers = workers});
+      RefineOptions opts;
+      opts.scheme = p.scheme;
+      opts.sharded_worklist = p.driver == Driver::kDataDrivenSharded;
+      const RefineStats st = p.driver == Driver::kTopology
+                                 ? refine_gpu(m, dev, opts)
+                                 : refine_gpu_datadriven(m, dev, opts);
+      EXPECT_EQ(st.rounds, p.rounds);
+      EXPECT_EQ(st.processed, p.processed);
+      EXPECT_EQ(st.aborted, p.aborted);
+      EXPECT_EQ(st.modeled_cycles, p.modeled_cycles);
+      EXPECT_EQ(mesh_digest(m), p.mesh_digest);
+      expect_refined(m, p.name);
+    }
   }
 }
 
@@ -541,6 +641,13 @@ TEST(RefineMulticore, ModeledCyclesArePinned) {
   cpu::ParallelRunner runner({.workers = 48});
   const RefineStats st = refine_multicore(m, runner);
   EXPECT_EQ(st.modeled_cycles, 67235.0);
+  EXPECT_EQ(mesh_digest(m), 14368517531854341681ull);
+}
+
+TEST(RefineSerial, RefinedMeshIsPinned) {
+  Mesh m = generate_input_mesh(800, 31);
+  refine_serial(m);
+  EXPECT_EQ(mesh_digest(m), 12099775012871751360ull);
 }
 
 }  // namespace

@@ -54,6 +54,8 @@ TEST(ParallelismProfile, DmrRisesThenFalls) {
   // Greedy maximal set of independent cavities per round, applied in bulk —
   // the same quantity ParaMeter reports.
   std::vector<std::size_t> profile;
+  dmr::Cavity c;
+  std::vector<dmr::Tri> hood, created;
   for (int round = 0; round < 1000; ++round) {
     std::vector<dmr::Tri> bad;
     for (dmr::Tri t = 0; t < m.num_slots(); ++t) {
@@ -65,8 +67,8 @@ TEST(ParallelismProfile, DmrRisesThenFalls) {
     for (dmr::Tri t : bad) {
       if (m.is_deleted(t) || !m.is_bad(t)) continue;
       if (t < taken.size() && taken[t]) continue;
-      dmr::Cavity c = dmr::build_refinement_cavity(m, t);
-      const auto hood = c.neighborhood(m);
+      dmr::build_refinement_cavity(m, t, /*use_float=*/false, c);
+      c.neighborhood(hood);
       bool free = true;
       for (dmr::Tri h : hood) {
         if (h < taken.size() && taken[h]) free = false;
@@ -75,7 +77,8 @@ TEST(ParallelismProfile, DmrRisesThenFalls) {
       for (dmr::Tri h : hood) {
         if (h < taken.size()) taken[h] = 1;
       }
-      dmr::retriangulate(m, c, cb);
+      created.clear();
+      dmr::retriangulate(m, c, cb, created);
       ++applied;
     }
     profile.push_back(applied);

@@ -9,6 +9,7 @@
 #include <tuple>
 #include <vector>
 
+#include "dmr/cavity.hpp"
 #include "dmr/delaunay.hpp"
 #include "dmr/refine.hpp"
 #include "gpu/device.hpp"
@@ -473,6 +474,50 @@ TEST(AppFaults, DmrLivelockEscalatesAndStaysValid) {
     EXPECT_EQ(dev.stats().faults_injected, 2u);
     EXPECT_GE(dev.stats().faults_recovered, 1u);
   }
+}
+
+TEST(AppFaults, DmrEscalationChargesItsCommit) {
+  // The serialized-arbitration kernel (dmr.escalate, the only 1x1 launch
+  // of refine_gpu) is charged like any other GPU commit: its slot scan,
+  // its cavity build and one work unit per deleted and created triangle.
+  // Forced ties abort all of round 1, so the first escalation refines the
+  // first bad slot of the freshly reordered mesh, which is rebuilt here.
+  const dmr::Mesh base = dmr::generate_input_mesh(300, 1);
+  dmr::RefineOptions opts;
+  opts.adaptive = false;
+  opts.fixed_tpb = 128;
+
+  dmr::Mesh m = base;
+  m.compact_and_reorder();
+  m.compute_all_bad(opts.min_angle_deg);
+  dmr::Tri first_bad = dmr::Mesh::kNone;
+  for (dmr::Tri t = 0; t < m.num_slots(); ++t) {
+    if (!m.is_deleted(t) && m.is_bad(t)) {
+      first_bad = t;
+      break;
+    }
+  }
+  ASSERT_NE(first_bad, dmr::Mesh::kNone);
+  dmr::Cavity c;
+  dmr::build_refinement_cavity(m, first_bad, opts.use_float, c);
+  const std::uint64_t scan_and_build = first_bad + 1 + c.steps;
+  const std::uint64_t commit = c.tris.size() + c.frontier.size();
+
+  const FaultPlan plan = plan_of("livelock@1x1");
+  telemetry::TraceSink sink;
+  gpu::Device dev(gpu::DeviceConfig{
+      .host_workers = 1, .trace = &sink, .faults = &plan});
+  dmr::Mesh refined = base;
+  const dmr::RefineStats st = dmr::refine_gpu(refined, dev, opts);
+  ASSERT_EQ(st.fallbacks, 1u);
+  std::vector<std::uint64_t> escalations;
+  for (const auto& e : sink.merged()) {
+    if (e.kind == telemetry::EventKind::kLaunch && e.name == "launch 1x1") {
+      escalations.push_back(e.work);
+    }
+  }
+  ASSERT_EQ(escalations.size(), 1u);
+  EXPECT_EQ(escalations[0], scan_and_build + commit);
 }
 
 TEST(AppFaults, DmrLivelockWatchdogGivesUpLoudly) {
