@@ -228,18 +228,4 @@ class Bench {
   telemetry::BenchReport report_;
 };
 
-/// Runs a bench body, turning an unrecovered injected fault (FaultError:
-/// exhausted retries, watchdog give-up, invariant violation) into a clean
-/// nonzero exit instead of a terminate(). Mains do
-/// `return bench::guarded_main([&] { ...; return bench.finish(); });`.
-template <typename F>
-int guarded_main(F&& body) {
-  try {
-    return body();
-  } catch (const FaultError& e) {
-    std::cerr << "fault campaign failed: " << e.status().to_string() << "\n";
-    return 3;
-  }
-}
-
 }  // namespace morph::bench

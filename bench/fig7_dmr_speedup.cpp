@@ -56,5 +56,5 @@ int run_bench(int argc, char** argv) {
 }
 
 int main(int argc, char** argv) {
-  return morph::bench::guarded_main([&] { return run_bench(argc, argv); });
+  return morph::resilience::guarded_main([&] { return run_bench(argc, argv); });
 }

@@ -162,18 +162,25 @@ struct Tally {
   std::uint64_t rejected = 0;
 };
 
+/// The load test's own flags plus the shared scheduler flags.
+std::vector<std::string> loadtest_flags() {
+  std::vector<std::string> known = {
+      "jobs", "clients", "seed", "workers", "fault-every", "fault-spec",
+      "deadline-every", "deadline-ms", "jobs-json", "connect", "oneshot",
+      "socket", "journal", "crash-after", "shutdown"};
+  const auto& sched_flags = morph::serve::scheduler_cli_flags();
+  known.insert(known.end(), sched_flags.begin(), sched_flags.end());
+  return known;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  return morph::bench::guarded_main([&]() -> int {
+  return morph::resilience::guarded_main([&]() -> int {
     morph::bench::Bench bench(
         argc, argv, "serve_loadtest — job-server load test",
         "morph-as-a-service serving layer (docs/SERVER.md)",
-        {"jobs", "clients", "seed", "pool", "workers", "batch-max",
-         "batch-linger", "queue-cap", "max-job-cycles", "small-job",
-         "dispatch-cycles", "default-gap", "fault-every", "fault-spec",
-         "deadline-every", "deadline-ms", "jobs-json", "connect", "oneshot",
-         "socket", "journal", "crash-after", "shutdown"});
+        loadtest_flags());
     auto& args = bench.args();
 
     const auto jobs_n =
@@ -204,21 +211,8 @@ int main(int argc, char** argv) {
       return 2;
     }
 
-    SchedulerConfig sched;
-    sched.pool = static_cast<std::uint32_t>(args.get_positive_int("pool", 2));
-    sched.batch_max =
-        static_cast<std::uint32_t>(args.get_positive_int("batch-max", 8));
-    sched.batch_linger = static_cast<std::uint64_t>(
-        args.get_int("batch-linger", static_cast<std::int64_t>(
-                                         sched.batch_linger)));
-    sched.queue_cap_cycles = args.get_double("queue-cap", sched.queue_cap_cycles);
-    sched.max_job_cycles =
-        args.get_double("max-job-cycles", sched.max_job_cycles);
-    sched.small_job_cycles = args.get_double("small-job", sched.small_job_cycles);
-    sched.dispatch_cycles =
-        args.get_double("dispatch-cycles", sched.dispatch_cycles);
-    sched.default_gap_cycles =
-        args.get_double("default-gap", sched.default_gap_cycles);
+    const SchedulerConfig sched = morph::serve::scheduler_config_from_args(
+        args, SchedulerConfig{.pool = 2});
 
     const std::vector<JobRequest> jobs = make_jobs(
         jobs_n, seed, fault_every, fault_spec, deadline_every, deadline_ms);

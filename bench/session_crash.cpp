@@ -262,7 +262,7 @@ RunResult run_campaign(const ServerConfig& cfg,
 }  // namespace
 
 int main(int argc, char** argv) {
-  return morph::bench::guarded_main([&]() -> int {
+  return morph::resilience::guarded_main([&]() -> int {
     morph::bench::Bench bench(
         argc, argv, "session_crash — session durability campaign",
         "incremental recompute sessions under SIGKILL (docs/SERVER.md)",

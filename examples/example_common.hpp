@@ -1,7 +1,6 @@
 // Shared CLI plumbing for the examples: strict flag checking (a typo like
-// --fault=... gets a did-you-mean pointing at --faults), the
-// --faults/--fault-seed campaign flags of docs/RESILIENCE.md, and a guarded
-// main that turns an unrecovered injected fault into a clean nonzero exit.
+// --fault=... gets a did-you-mean pointing at --faults) and the
+// --faults/--fault-seed campaign flags of docs/RESILIENCE.md.
 #pragma once
 
 #include <iostream>
@@ -11,7 +10,6 @@
 
 #include "resilience/fault.hpp"
 #include "support/cli.hpp"
-#include "support/status.hpp"
 
 namespace morph::examples {
 
@@ -44,18 +42,5 @@ class ExampleCli {
   CliArgs args_;
   std::optional<resilience::FaultPlan> plan_;
 };
-
-/// Runs the example body; an unrecovered injected fault (exhausted retries,
-/// watchdog give-up, invariant violation) exits 3 with the fault's status
-/// line instead of terminating on an uncaught exception.
-template <typename F>
-int guarded_main(F&& body) {
-  try {
-    return body();
-  } catch (const FaultError& e) {
-    std::cerr << "fault campaign failed: " << e.status().to_string() << "\n";
-    return 3;
-  }
-}
 
 }  // namespace morph::examples

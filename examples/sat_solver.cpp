@@ -53,5 +53,5 @@ int run(int argc, char** argv) {
 }
 
 int main(int argc, char** argv) {
-  return morph::examples::guarded_main([&] { return run(argc, argv); });
+  return morph::resilience::guarded_main([&] { return run(argc, argv); });
 }

@@ -183,16 +183,6 @@ void Sanitizer::end_launch() {
 
 // --- races ---------------------------------------------------------------
 
-bool Sanitizer::racy_annotated(std::uintptr_t lo, std::uintptr_t hi) const {
-  auto it = racy_.upper_bound(lo);
-  if (it != racy_.begin()) {
-    --it;
-    if (it->second.first > lo) return true;  // interval covering lo
-  }
-  it = racy_.upper_bound(lo);
-  return it != racy_.end() && it->first < hi;
-}
-
 void Sanitizer::on_access(std::uint32_t block, const void* addr,
                           std::size_t bytes, Access access) {
   if (!opts_.races && !opts_.memory) return;
@@ -221,7 +211,6 @@ void Sanitizer::on_access(std::uint32_t block, const void* addr,
   // Host-side accesses and ordered (sequential / campaign-pinned) phases
   // are totally ordered with respect to everything in the launch.
   if (block == kHostAgent || !in_launch_ || phase_ordered_) return;
-  if (racy_annotated(lo, hi)) return;
 
   const bool is_write = access != Access::kRead;
   const bool is_atomic = access == Access::kAtomic;
@@ -264,26 +253,6 @@ void Sanitizer::on_access(std::uint32_t block, const void* addr,
     ws.has_write |= is_write;
     ws.all_atomic &= is_atomic;
   }
-}
-
-void Sanitizer::annotate_racy(const void* addr, std::size_t bytes,
-                              std::string why) {
-  std::scoped_lock lock(mu_);
-  const auto lo = reinterpret_cast<std::uintptr_t>(addr);
-  racy_[lo] = {lo + bytes, std::move(why)};
-}
-
-void Sanitizer::clear_racy(const void* addr) {
-  std::scoped_lock lock(mu_);
-  racy_.erase(reinterpret_cast<std::uintptr_t>(addr));
-}
-
-void Sanitizer::note_intentional(std::string what, std::string why) {
-  std::scoped_lock lock(mu_);
-  for (const auto& [w, _] : notes_) {
-    if (w == what) return;  // once per pattern, not per call
-  }
-  notes_.emplace_back(std::move(what), std::move(why));
 }
 
 void Sanitizer::on_ownership_granted(const void* domain, std::uint32_t tid,
@@ -595,12 +564,6 @@ std::uint64_t Sanitizer::suppressed() const {
   return suppressed_;
 }
 
-std::vector<std::pair<std::string, std::string>> Sanitizer::intentional_notes()
-    const {
-  std::scoped_lock lock(mu_);
-  return notes_;
-}
-
 void Sanitizer::report(std::ostream& os) const {
   std::scoped_lock lock(mu_);
   std::uint64_t total = 0;
@@ -614,9 +577,6 @@ void Sanitizer::report(std::ostream& os) const {
     if (suppressed_ > 0) {
       os << "  ... and " << suppressed_ << " more (suppressed)\n";
     }
-  }
-  for (const auto& [what, why] : notes_) {
-    os << "  note: intentional race '" << what << "': " << why << "\n";
   }
 }
 
@@ -632,7 +592,6 @@ void Sanitizer::reset() {
   findings_.clear();
   for (std::uint64_t& c : counts_) c = 0;
   suppressed_ = 0;
-  notes_.clear();
 }
 
 }  // namespace morph::analysis

@@ -1,9 +1,9 @@
-// Subgraph addition and deletion strategies (paper Sec. 7.1 / 7.2).
+// The "Recycle" subgraph-deletion strategy (paper Sec. 7.2).
 //
-// The mechanics live in gpu::DeviceBuffer (Pre-allocation / Host-Only /
-// Kernel-Host growth) and gpu::DeviceHeap (Kernel-Only chunked malloc). This
-// header names the strategies, and provides SlotRecycler, the "Recycle"
-// deletion strategy DMR uses: deleted element slots are remembered and
+// The other strategies live with their users: DMR accounts its
+// Pre-allocation / Host-Only storage inline (dmr/refine.cpp), and
+// gpu::DeviceHeap is the Kernel-Only chunked malloc PTA uses. SlotRecycler
+// is the Recycle strategy DMR uses: deleted element slots are remembered and
 // handed back to threads creating new elements, trading compaction overhead
 // against allocation cost.
 #pragma once
@@ -17,19 +17,6 @@
 #include "support/check.hpp"
 
 namespace morph::core {
-
-enum class AdditionStrategy {
-  kPreAlloc,    ///< allocate the maximum up front
-  kHostOnly,    ///< host pre-calculates the next kernel's needs
-  kKernelHost,  ///< kernel piggybacks the size computation, host allocates
-  kKernelOnly,  ///< device-side malloc (chunked)
-};
-
-enum class DeletionStrategy {
-  kMark,      ///< tombstone flags; space is never reclaimed
-  kExplicit,  ///< free the memory (DeviceHeap::free_chunk)
-  kRecycle,   ///< reuse deleted slots for new elements (SlotRecycler)
-};
 
 /// Lock-free pool of recyclable element slots. Threads freeing slots push
 /// them; threads creating elements try take() before extending the array.

@@ -22,6 +22,10 @@ namespace {
 /// long before it.
 constexpr std::uint64_t kMaxRounds = 1u << 20;
 
+/// Threads per block of the first adaptive launch; the paper's DMR starts
+/// at 64 and doubles (Sec. 7.4).
+constexpr std::uint32_t kInitialTpb = 64;
+
 /// Blocks per SM, proportional to the input size (Sec. 7.4). The divisor is
 /// chosen so a thread's local worklist (its contiguous chunk, Sec. 7.5)
 /// covers a few dozen triangles at full occupancy — the proportion the
@@ -126,7 +130,7 @@ class GpuRefinement {
         m_(m),
         dev_(dev),
         opts_(opts),
-        launcher_(opts.initial_tpb, 3, sm_factor),
+        launcher_(kInitialTpb, 3, sm_factor),
         watchdog_(opts.watchdog_escalate_after, opts.watchdog_give_up_after) {}
 
   bool running() const { return bad_count > 0 && stats.rounds < kMaxRounds; }

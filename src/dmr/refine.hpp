@@ -35,7 +35,6 @@ struct RefineOptions {
   bool recycle = true;          ///< reuse deleted slots (Sec. 7.2 Recycle)
   bool prealloc = false;        ///< pre-allocate max storage vs on-demand
 
-  std::uint32_t initial_tpb = 64;  ///< paper: DMR starts at 64 and doubles
   /// Static threads-per-block used when `adaptive` is off. A fixed
   /// configuration must be provisioned for the peak parallelism, which is
   /// exactly what the adaptive scheme avoids early on (Sec. 7.4).

@@ -41,24 +41,43 @@ enum class BarrierKind {
   kLockFree,
 };
 
-/// Simulated device parameters and cost model.
+/// Simulated device parameters and cost model. The machine (a Tesla C2070)
+/// and its cost model are fixed constants, the one machine the paper's
+/// comparisons run on; only execution, instrumentation and recovery
+/// settings are per-device fields.
 struct DeviceConfig {
-  std::uint32_t num_sms = 14;
-  std::uint32_t warp_size = 32;
-  std::uint32_t max_warps_per_sm = 48;
+  static constexpr std::uint32_t num_sms = 14;
+  static constexpr std::uint32_t warp_size = 32;
+  static constexpr std::uint32_t max_warps_per_sm = 48;
 
   // --- cost model (abstract cycles) ---
-  double step_cost = 1.0;            ///< one counted unit of thread work
-  double global_mem_cost = 4.0;      ///< one counted global-memory access
+  /// One counted unit of thread work.
+  static constexpr double step_cost = 1.0;
+  /// One counted global-memory access.
+  static constexpr double global_mem_cost = 4.0;
   /// Memory-level parallelism for uncoalesced accesses: they consume
   /// device-wide bandwidth, far below the compute warp concurrency.
-  double mem_concurrency = 32.0;
-  double atomic_cost = 32.0;         ///< one atomic RMW (serialized)
-  double atomic_concurrency = 4.0;   ///< effective parallelism of atomics
-  double kernel_launch_overhead = 4000.0;
-  double syncthreads_cost = 8.0;     ///< per block, per barrier
-  double alloc_overhead = 2000.0;    ///< per cudaMalloc-style allocation
-  double copy_cost_per_byte = 0.002; ///< realloc / explicit transfer copies
+  static constexpr double mem_concurrency = 32.0;
+  /// One atomic RMW (serialized), and the effective parallelism of atomics.
+  static constexpr double atomic_cost = 32.0;
+  static constexpr double atomic_concurrency = 4.0;
+  static constexpr double kernel_launch_overhead = 4000.0;
+  /// Per block, per barrier.
+  static constexpr double syncthreads_cost = 8.0;
+  /// Per cudaMalloc-style allocation.
+  static constexpr double alloc_overhead = 2000.0;
+  /// Realloc / explicit transfer copies.
+  static constexpr double copy_cost_per_byte = 0.002;
+
+  /// Modeled-cycle cost of one injected barrier stall, as a multiple of the
+  /// stalled barrier's own cost (the watchdog timeout a real runtime would
+  /// burn before releasing the barrier).
+  static constexpr double barrier_stall_factor = 8.0;
+
+  /// Total concurrently resident warps (device-wide occupancy bound).
+  static constexpr double warp_slots() {
+    return static_cast<double>(num_sms) * static_cast<double>(max_warps_per_sm);
+  }
 
   /// Nominal device clock used to express modeled cycles as seconds — the
   /// single source of truth for every "model-ms" column and JSON report
@@ -73,11 +92,6 @@ struct DeviceConfig {
   /// values exercise real concurrency between logical GPU threads and are
   /// the standard fast path for the drivers and benches (--host-workers).
   std::uint32_t host_workers = 1;
-
-  /// When true, logical threads within a phase run in a seeded pseudo-random
-  /// order instead of ascending id, to exercise order-independence.
-  bool shuffle_threads = false;
-  std::uint64_t shuffle_seed = 1;
 
   /// Telemetry event sink (telemetry/trace.hpp); null disables collection
   /// entirely — a disabled device takes one branch per launch and its
@@ -104,21 +118,11 @@ struct DeviceConfig {
   /// growing modeled-cycle backoff; exhausting it throws morph::FaultError.
   resilience::RetryPolicy launch_retry = {};
 
-  /// Modeled-cycle cost of one injected barrier stall, as a multiple of the
-  /// stalled barrier's own cost (the watchdog timeout a real runtime would
-  /// burn before releasing the barrier).
-  double barrier_stall_factor = 8.0;
-
   /// Injected barrier stalls tolerated within a single launch before the
   /// barrier is declared hung and the launch fails loudly with
   /// morph::FaultError (kRetriesExhausted). 0 = unlimited (every stall is
   /// absorbed as modeled watchdog timeouts).
   std::uint32_t barrier_stall_budget = 0;
-
-  /// Total concurrently resident warps (device-wide occupancy bound).
-  double warp_slots() const {
-    return static_cast<double>(num_sms) * static_cast<double>(max_warps_per_sm);
-  }
 };
 
 /// Grid geometry of one kernel launch.

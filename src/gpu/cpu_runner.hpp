@@ -16,11 +16,14 @@
 
 namespace morph::cpu {
 
+/// The worker count is per run; the cost model is fixed, like the GPU's.
 struct CpuConfig {
   std::uint32_t workers = 48;
-  double step_cost = 1.0;
-  double sync_cost = 24.0;      ///< lock acquire / CAS on shared data
-  double round_overhead = 500.0;  ///< per-round barrier + scheduling
+  static constexpr double step_cost = 1.0;
+  /// Lock acquire / CAS on shared data.
+  static constexpr double sync_cost = 24.0;
+  /// Per-round barrier + scheduling.
+  static constexpr double round_overhead = 500.0;
 };
 
 /// Handle given to the function processing one work item.

@@ -199,7 +199,7 @@ class Device {
   /// the modeled timeline.
   void note_stall(double cycles) { stats_.modeled_cycles += cycles; }
 
-  // --- memory accounting hooks (used by DeviceBuffer / DeviceHeap) ---
+  // --- memory accounting hooks (DeviceHeap and the apps' own storage) ---
   void note_host_alloc(std::uint64_t bytes);
   void note_realloc(std::uint64_t bytes_copied);
   void note_device_malloc(std::uint64_t bytes);

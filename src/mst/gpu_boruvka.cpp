@@ -13,8 +13,9 @@
 //   4. per node: merge (relabel to the representative).
 // Adjacency lists are never merged; the cost of merging scales with nodes.
 #include <algorithm>
-#include <atomic>
+#include <functional>
 
+#include "gpu/reduce.hpp"
 #include "mst/mst.hpp"
 #include "support/status.hpp"
 #include "support/timer.hpp"
@@ -53,14 +54,6 @@ MstResult mst_gpu(const graph::CsrGraph& g, gpu::Device& dev) {
   MstResult res;
   const Node n = g.num_nodes();
   if (n == 0) return res;
-  // The pointer-jumping convergence flag is a deliberate one-way race:
-  // many threads store `true`, nobody reads until the launch returns.
-  if (analysis::Sanitizer* s = dev.sanitizer()) {
-    s->note_intentional(
-        "mst.jump-converged-flag",
-        "relaxed many-writer convergence flag; only ever set to true within "
-        "a launch and read after the launch completes");
-  }
 
   std::vector<Node> comp(n);
   for (Node u = 0; u < n; ++u) comp[u] = u;
@@ -186,6 +179,10 @@ MstResult mst_gpu(const graph::CsrGraph& g, gpu::Device& dev) {
     {
       std::uint64_t jump_budget = 2;
       for (std::size_t a = alive.size(); a > 1; a >>= 1) ++jump_budget;
+      // Per-block "some chain moved" flags, folded after each launch: no
+      // block writes another block's flag. Setting a flag charges nothing;
+      // the jump that moved the chain is already charged.
+      gpu::BlockReduce<std::uint8_t> moved(lc.blocks, 0);
       bool jumped = true;
       while (jumped) {
         if (jump_budget-- == 0) {
@@ -194,7 +191,7 @@ MstResult mst_gpu(const graph::CsrGraph& g, gpu::Device& dev) {
               "mst_gpu: pointer jumping failed to converge within its "
               "log-bound — partner graph corrupt"));
         }
-        std::atomic<bool> any{false};
+        moved.reset();
         partner_prev = partner;
         dev.launch(lc, [&](gpu::ThreadCtx& ctx) {
           for (std::uint64_t ai = ctx.tid(); ai < alive.size(); ai += T) {
@@ -204,11 +201,11 @@ MstResult mst_gpu(const graph::CsrGraph& g, gpu::Device& dev) {
             const Node pp = partner_prev[p];
             if (p != pp) {
               partner[c] = pp;
-              any.store(true, std::memory_order_relaxed);
+              moved.combine(ctx, 1, std::bit_or<>());
             }
           }
         });
-        jumped = any.load();
+        jumped = moved.reduce(std::bit_or<>()) != 0;
       }
     }
 

@@ -31,6 +31,7 @@
 
 #include <array>
 #include <cstdint>
+#include <iostream>
 #include <optional>
 #include <string>
 #include <vector>
@@ -122,5 +123,19 @@ const std::vector<std::string>& fault_cli_flags();
 /// (mirroring CliArgs::get_positive_int's loud-failure convention).
 std::optional<FaultPlan> fault_plan_from_args(
     const std::string& spec_or_empty, std::uint64_t seed);
+
+/// Runs a bench or example body, turning an unrecovered injected fault
+/// (FaultError: exhausted retries, watchdog give-up, invariant violation)
+/// into exit code 3 with the fault's status line instead of a terminate().
+/// Mains do `return resilience::guarded_main([&] { return run(...); });`.
+template <typename F>
+int guarded_main(F&& body) {
+  try {
+    return body();
+  } catch (const FaultError& e) {
+    std::cerr << "fault campaign failed: " << e.status().to_string() << "\n";
+    return 3;
+  }
+}
 
 }  // namespace morph::resilience

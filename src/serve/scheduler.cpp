@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "support/check.hpp"
+#include "support/cli.hpp"
 
 namespace morph::serve {
 
@@ -374,6 +375,29 @@ bool Scheduler::restore_blob(const std::string& blob) {
   slot_ready_ = std::move(slots);
   deposits_ = std::move(deposits);
   return true;
+}
+
+const std::vector<std::string>& scheduler_cli_flags() {
+  static const std::vector<std::string> kFlags = {
+      "pool",           "batch-max", "batch-linger",    "queue-cap",
+      "max-job-cycles", "small-job", "dispatch-cycles", "default-gap"};
+  return kFlags;
+}
+
+SchedulerConfig scheduler_config_from_args(const CliArgs& args,
+                                           SchedulerConfig defaults) {
+  SchedulerConfig c = defaults;
+  c.pool = static_cast<std::uint32_t>(args.get_positive_int("pool", c.pool));
+  c.batch_max = static_cast<std::uint32_t>(
+      args.get_positive_int("batch-max", c.batch_max));
+  c.batch_linger = static_cast<std::uint64_t>(args.get_int(
+      "batch-linger", static_cast<std::int64_t>(c.batch_linger)));
+  c.queue_cap_cycles = args.get_double("queue-cap", c.queue_cap_cycles);
+  c.max_job_cycles = args.get_double("max-job-cycles", c.max_job_cycles);
+  c.small_job_cycles = args.get_double("small-job", c.small_job_cycles);
+  c.dispatch_cycles = args.get_double("dispatch-cycles", c.dispatch_cycles);
+  c.default_gap_cycles = args.get_double("default-gap", c.default_gap_cycles);
+  return c;
 }
 
 }  // namespace morph::serve

@@ -46,10 +46,15 @@
 #include <cstdint>
 #include <deque>
 #include <map>
+#include <string>
 #include <vector>
 
 #include "serve/job.hpp"
 #include "support/status.hpp"
+
+namespace morph {
+class CliArgs;
+}
 
 namespace morph::serve {
 
@@ -64,6 +69,17 @@ struct SchedulerConfig {
   double dispatch_cycles = 20000.0;  ///< per-batch dispatch overhead
   double default_gap_cycles = 0.0;   ///< arrival spacing when undeclared
 };
+
+/// The flag names scheduler_config_from_args reads ("pool", "batch-max",
+/// ...) — for CliArgs::warn_unknown known-lists.
+const std::vector<std::string>& scheduler_cli_flags();
+
+/// Reads --pool, --batch-max, --batch-linger, --queue-cap,
+/// --max-job-cycles, --small-job, --dispatch-cycles and --default-gap over
+/// the caller's `defaults` (the daemon serves with pool 1, the load test
+/// with pool 2). A non-positive --pool or --batch-max exits with status 2.
+SchedulerConfig scheduler_config_from_args(const CliArgs& args,
+                                           SchedulerConfig defaults);
 
 /// A sealed batch, ready for real execution. Jobs are listed in admission
 /// order; the whole batch runs as one shared launch on one pool slot.

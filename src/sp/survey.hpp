@@ -27,14 +27,12 @@ struct SpOptions {
   double eps = 1e-3;              ///< survey convergence threshold
   std::uint32_t max_sweeps = 300; ///< per decimation phase
   double decimate_frac = 0.01;    ///< fraction of literals fixed per phase
-  double trivial_bias = 0.02;     ///< below this max bias, surveys are trivial
   std::uint32_t endgame_lits = 64;      ///< hand to WalkSAT below this
   std::uint64_t walksat_flips = 2'000'000;
   /// Scale the flip budget with the residual size (4000 x unfixed vars).
   /// Benches measuring only the survey iteration turn this off together
   /// with a tiny walksat_flips.
   bool walksat_auto_budget = true;
-  double walksat_p = 0.5;
   std::uint32_t max_phases = 1u << 20;
   bool cache_products = true;     ///< the edge-caching optimization
   std::uint64_t work_budget = ~0ull;  ///< counted ops before declaring OOT

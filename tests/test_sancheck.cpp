@@ -80,6 +80,12 @@ bool has_kind(const Sanitizer& san, const std::string& kind) {
   return false;
 }
 
+std::string report_text(const Sanitizer& san) {
+  std::ostringstream os;
+  san.report(os);
+  return os.str();
+}
+
 const Finding* first_of_kind(const Sanitizer& san, const std::string& kind,
                              std::vector<Finding>& store) {
   store = san.findings();
@@ -147,19 +153,6 @@ TEST(SeededRaces, ReadsAndAtomicsAreNotRaces) {
     }
   });
   EXPECT_TRUE(san.clean()) << san.findings().front().to_string();
-}
-
-TEST(SeededRaces, AnnotatedRangeIsExempt) {
-  Sanitizer san;
-  gpu::Device dev = sanitized_device(san);
-  double cells[4] = {0, 0, 0, 0};
-  san.annotate_racy(cells, sizeof(cells),
-                    "relaxed accumulation; convergence tolerates staleness");
-  dev.launch({2, 1, "clean.annotated"}, [&](gpu::ThreadCtx& ctx) {
-    ctx.san()->on_access(ctx.block(), &cells[1], sizeof(double),
-                         Sanitizer::Access::kWrite);
-  });
-  EXPECT_TRUE(san.clean());
 }
 
 TEST(SeededRaces, SequentialPhaseIsOrdered) {
@@ -486,10 +479,9 @@ TEST(CleanApps, PtaSolveCleanAndStatsIdentical) {
   EXPECT_TRUE(pta::equal_pts(r_plain, r_san));
   EXPECT_EQ(d_plain.stats().modeled_cycles, d_san.stats().modeled_cycles);
   EXPECT_EQ(d_plain.stats().device_mallocs, d_san.stats().device_mallocs);
-  // The former "pta.pull-stale-reads" waiver is gone for good: propagation
-  // reads a frozen round-start image and commits between launches, so PTA
-  // registers no intentional-race notes at all.
-  EXPECT_TRUE(san.intentional_notes().empty());
+  // Propagation reads a frozen round-start image and commits between
+  // launches, so the report is the one clean line.
+  EXPECT_EQ(report_text(san), "sanitizer: clean (--sanitize=all)\n");
 }
 
 TEST(CleanApps, MstBoruvkaCleanAndStatsIdentical) {
@@ -510,12 +502,10 @@ TEST(CleanApps, MstBoruvkaCleanAndStatsIdentical) {
   EXPECT_EQ(r_plain.total_weight, r_san.total_weight);
   EXPECT_EQ(r_plain.tree_edges, r_san.tree_edges);
   EXPECT_EQ(d_plain.stats().modeled_cycles, d_san.stats().modeled_cycles);
-  // The one intentional-race note still load-bearing anywhere: Boruvka's
-  // many-writer pointer-jumping convergence flag really is a one-way race
-  // (only ever set to true within a launch, read after it returns), so the
-  // waiver — unlike SP's and PTA's retired ones — must stay on record.
-  ASSERT_FALSE(san.intentional_notes().empty());
-  EXPECT_EQ(san.intentional_notes().front().first, "mst.jump-converged-flag");
+  // The pointer-jumping convergence flag is a per-block reduction folded
+  // after each launch, so Boruvka is clean with no waiver: the report is
+  // the one clean line.
+  EXPECT_EQ(report_text(san), "sanitizer: clean (--sanitize=all)\n");
 }
 
 TEST(CleanApps, SpSurveyCleanAndStatsIdentical) {

@@ -9,6 +9,7 @@
 #include <chrono>
 #include <cstdio>
 #include <map>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -26,6 +27,7 @@
 #include "serve/protocol.hpp"
 #include "serve/scheduler.hpp"
 #include "serve/server.hpp"
+#include "support/cli.hpp"
 #include "telemetry/bench_report.hpp"
 #include "telemetry/report_diff.hpp"
 #include "telemetry/trace.hpp"
@@ -350,6 +352,27 @@ TEST(Scheduler, CheckpointBlobRoundTripsAtQuiescence) {
   Scheduler d(cfg);
   EXPECT_FALSE(d.restore_blob(blob + "x"));  // trailing bytes
   EXPECT_FALSE(d.restore_blob("short"));
+}
+
+TEST(Scheduler, CliFlagsOverrideTheCallersDefaults) {
+  const char* argv[] = {"prog",          "--batch-max=3", "--batch-linger=5",
+                        "--queue-cap=7", "--small-job=9", "--default-gap=11",
+                        "--poool=2"};
+  morph::CliArgs args(7, const_cast<char**>(argv));
+  const SchedulerConfig c = morph::serve::scheduler_config_from_args(
+      args, SchedulerConfig{.pool = 2});
+  EXPECT_EQ(c.pool, 2u);  // absent flag: the caller's default
+  EXPECT_EQ(c.batch_max, 3u);
+  EXPECT_EQ(c.batch_linger, 5u);
+  EXPECT_EQ(c.queue_cap_cycles, 7.0);
+  EXPECT_EQ(c.small_job_cycles, 9.0);
+  EXPECT_EQ(c.default_gap_cycles, 11.0);
+  EXPECT_EQ(c.max_job_cycles, SchedulerConfig{}.max_job_cycles);
+  EXPECT_EQ(c.dispatch_cycles, SchedulerConfig{}.dispatch_cycles);
+  // Every flag it reads is in the known-list; a typo is not.
+  std::ostringstream err;
+  EXPECT_EQ(args.warn_unknown(morph::serve::scheduler_cli_flags(), err), 1u);
+  EXPECT_NE(err.str().find("--pool"), std::string::npos);  // did-you-mean
 }
 
 // --- executor --------------------------------------------------------------

@@ -48,32 +48,17 @@ int main(int argc, char** argv) {
   morph::serve::ServerConfig cfg;
 
   CliArgs args(argc, argv);
-  args.warn_unknown(
-      {"socket", "pool", "workers", "queue-cap", "max-job-cycles", "batch-max",
-       "batch-linger", "small-job", "dispatch-cycles", "default-gap",
-       "host-workers", "journal", "journal-fsync", "journal-checkpoint",
-       "drain-deadline-ms", "quarantine-threshold"},
-      std::cerr);
+  std::vector<std::string> known = {
+      "socket", "workers", "host-workers", "journal", "journal-fsync",
+      "journal-checkpoint", "drain-deadline-ms", "quarantine-threshold"};
+  const auto& sched_flags = morph::serve::scheduler_cli_flags();
+  known.insert(known.end(), sched_flags.begin(), sched_flags.end());
+  args.warn_unknown(known, std::cerr);
 
   cfg.socket_path = args.get("socket", cfg.socket_path);
-  cfg.sched.pool =
-      static_cast<std::uint32_t>(args.get_positive_int("pool", 1));
+  cfg.sched = morph::serve::scheduler_config_from_args(
+      args, morph::serve::SchedulerConfig{.pool = 1});
   cfg.workers = static_cast<std::uint32_t>(args.get_int("workers", 0));
-  cfg.sched.queue_cap_cycles =
-      args.get_double("queue-cap", cfg.sched.queue_cap_cycles);
-  cfg.sched.max_job_cycles =
-      args.get_double("max-job-cycles", cfg.sched.max_job_cycles);
-  cfg.sched.batch_max =
-      static_cast<std::uint32_t>(args.get_positive_int("batch-max", 8));
-  cfg.sched.batch_linger = static_cast<std::uint64_t>(
-      args.get_int("batch-linger", static_cast<std::int64_t>(
-                                       cfg.sched.batch_linger)));
-  cfg.sched.small_job_cycles =
-      args.get_double("small-job", cfg.sched.small_job_cycles);
-  cfg.sched.dispatch_cycles =
-      args.get_double("dispatch-cycles", cfg.sched.dispatch_cycles);
-  cfg.sched.default_gap_cycles =
-      args.get_double("default-gap", cfg.sched.default_gap_cycles);
   cfg.device.host_workers = morph::host_workers_arg(args);
   cfg.journal.path = args.get("journal", "");
   const std::string fsync_policy = args.get("journal-fsync", "always");
