@@ -5,10 +5,7 @@
 // that is accessed by all threads. A naive implementation of such a
 // worklist severely limits performance because work elements must be added
 // and removed atomically." This bench runs both drivers on the same mesh
-// and reports the atomics bill and modeled time. A third arm reruns the
-// data-driven driver with RefineOptions::sharded_worklist on, so the
-// centralized-vs-sharded contention split (wl-contended ops vs local ring
-// ops) is visible in one report.
+// and reports the atomics bill and modeled time.
 #include "bench_common.hpp"
 #include "dmr/delaunay.hpp"
 #include "dmr/refine.hpp"
@@ -21,72 +18,34 @@ int run_bench(int argc, char** argv) {
       "the centralized worklist pays an atomic per push/pop", {"triangles"});
   const std::size_t n = static_cast<std::size_t>(
       bench.args().get_positive_int("triangles", 50000));
-  dmr::Mesh base = dmr::generate_input_mesh(n, 27);
+  const dmr::Mesh base = dmr::generate_input_mesh(n, 27);
 
   Table t({"driver", "model-ms", "rounds", "processed", "abort-ratio",
-           "atomics x1e3", "wl-contended x1e3", "steals", "bad after"});
-  {
+           "atomics x1e3", "wl-contended x1e3", "bad after"});
+  const auto run = [&](const char* label, const char* row, auto driver) {
     dmr::Mesh m = base;
     gpu::Device dev(bench.device_config());
-    const dmr::RefineStats st = dmr::refine_gpu(m, dev);
+    const dmr::RefineStats st = driver(m, dev);
     const std::size_t bad_after = m.compute_all_bad(30.0);
-    t.add_row({"topology-driven (local chunks)",
-               bench.fmt_ms(bench.model_ms(st.modeled_cycles)),
+    t.add_row({label, bench.fmt_ms(bench.model_ms(st.modeled_cycles)),
                std::to_string(st.rounds), std::to_string(st.processed),
                Table::num(st.abort_ratio(), 2),
                Table::num(dev.stats().atomics / 1e3, 1),
                Table::num(dev.stats().wl_contended_ops / 1e3, 1),
-               std::to_string(dev.stats().wl_steals),
                std::to_string(bad_after)});
-    auto& rep = bench.add_row("topology-driven");
+    auto& rep = bench.add_row(row);
     bench.add_device_metrics(rep, dev);
     rep.metric("rounds", static_cast<double>(st.rounds))
         .metric("processed", static_cast<double>(st.processed))
         .metric("abort_ratio", st.abort_ratio())
         .metric("bad_after", static_cast<double>(bad_after));
-  }
-  {
-    dmr::Mesh m = base;
-    gpu::Device dev(bench.device_config());
-    const dmr::RefineStats st = dmr::refine_gpu_datadriven(m, dev);
-    const std::size_t bad_after = m.compute_all_bad(30.0);
-    t.add_row({"data-driven (central worklist)",
-               bench.fmt_ms(bench.model_ms(st.modeled_cycles)),
-               std::to_string(st.rounds), std::to_string(st.processed),
-               Table::num(st.abort_ratio(), 2),
-               Table::num(dev.stats().atomics / 1e3, 1),
-               Table::num(dev.stats().wl_contended_ops / 1e3, 1),
-               std::to_string(dev.stats().wl_steals),
-               std::to_string(bad_after)});
-    auto& rep = bench.add_row("data-driven");
-    bench.add_device_metrics(rep, dev);
-    rep.metric("rounds", static_cast<double>(st.rounds))
-        .metric("processed", static_cast<double>(st.processed))
-        .metric("abort_ratio", st.abort_ratio())
-        .metric("bad_after", static_cast<double>(bad_after));
-  }
-  {
-    dmr::Mesh m = base;
-    gpu::Device dev(bench.device_config());
-    dmr::RefineOptions opts;
-    opts.sharded_worklist = true;
-    const dmr::RefineStats st = dmr::refine_gpu_datadriven(m, dev, opts);
-    const std::size_t bad_after = m.compute_all_bad(30.0);
-    t.add_row({"data-driven (sharded worklist)",
-               bench.fmt_ms(bench.model_ms(st.modeled_cycles)),
-               std::to_string(st.rounds), std::to_string(st.processed),
-               Table::num(st.abort_ratio(), 2),
-               Table::num(dev.stats().atomics / 1e3, 1),
-               Table::num(dev.stats().wl_contended_ops / 1e3, 1),
-               std::to_string(dev.stats().wl_steals),
-               std::to_string(bad_after)});
-    auto& rep = bench.add_row("data-driven-sharded");
-    bench.add_device_metrics(rep, dev);
-    rep.metric("rounds", static_cast<double>(st.rounds))
-        .metric("processed", static_cast<double>(st.processed))
-        .metric("abort_ratio", st.abort_ratio())
-        .metric("bad_after", static_cast<double>(bad_after));
-  }
+  };
+  run("topology-driven (local chunks)", "topology-driven",
+      [](dmr::Mesh& m, gpu::Device& dev) { return dmr::refine_gpu(m, dev); });
+  run("data-driven (central worklist)", "data-driven",
+      [](dmr::Mesh& m, gpu::Device& dev) {
+        return dmr::refine_gpu_datadriven(m, dev);
+      });
   t.print(std::cout);
   return bench.finish();
 }

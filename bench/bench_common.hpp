@@ -11,10 +11,6 @@
 //                       (open in Perfetto or chrome://tracing).
 //   --trace-blocks      additionally record one span per executed block
 //                       (one track per simulated SM).
-//   --clock-ghz=<ghz>   nominal device clock used to express modeled cycles
-//                       as milliseconds (default 1.0, the paper-era Fermi
-//                       ballpark); lives in gpu::DeviceConfig::clock_ghz so
-//                       tables and JSON reports always agree.
 //   --faults=<spec>     arm a deterministic fault-injection campaign on every
 //                       device the bench constructs (docs/RESILIENCE.md);
 //                       --fault-seed=<n> keys its probabilistic clauses.
@@ -26,9 +22,10 @@
 //                       the bench exits 4 if any hazard was found.
 //
 // Cross-platform timing claims use the simulator's modeled cycles (reported
-// as "model-ms"); wall-clock seconds of the real computation are printed
-// alongside. Pass --scale=N to divide workload sizes by N (default sizes
-// are already scaled from the paper's to laptop range; see DESIGN.md).
+// as "model-ms" at the fixed gpu::DeviceConfig::clock_ghz); wall-clock
+// seconds of the real computation are printed alongside. Pass --scale=N to
+// divide workload sizes by N (default sizes are already scaled from the
+// paper's to laptop range; see DESIGN.md).
 #pragma once
 
 #include <cstdint>
@@ -51,7 +48,7 @@
 namespace morph::bench {
 
 /// One bench run: CLI parsing (with unknown-flag warnings), the shared
-/// device configuration, the clock-derived model-ms scale, and the optional
+/// device configuration, the model-ms scale, and the optional
 /// machine-readable outputs. Construct it first thing in main(), add one
 /// report row per printed table row, and `return bench.finish();`.
 class Bench {
@@ -60,9 +57,8 @@ class Bench {
         const std::string& paper_ref,
         std::vector<std::string> extra_flags = {})
       : args_(argc, argv) {
-    std::vector<std::string> known = {"host-workers", "json",      "trace",
-                                      "trace-blocks", "clock-ghz",
-                                      "sanitize"};
+    std::vector<std::string> known = {"host-workers", "json", "trace",
+                                      "trace-blocks", "sanitize"};
     const auto& fault_flags = resilience::fault_cli_flags();
     known.insert(known.end(), fault_flags.begin(), fault_flags.end());
     known.insert(known.end(), extra_flags.begin(), extra_flags.end());
@@ -86,15 +82,6 @@ class Bench {
         args_.get("faults", ""),
         static_cast<std::uint64_t>(args_.get_int("fault-seed", 1)));
     if (fault_plan_) base_cfg_.faults = &*fault_plan_;
-    base_cfg_.clock_ghz = args_.get_double("clock-ghz", 1.0);
-    if (base_cfg_.clock_ghz <= 0.0) {
-      std::cerr << "error: --clock-ghz must be positive\n";
-      std::exit(2);
-    }
-    // 1e-6/1.0 == 1e-6 exactly, so the default clock reproduces the
-    // historical `cycles * 1e-6` bit for bit.
-    ms_per_cycle_ = 1e-6 / base_cfg_.clock_ghz;
-
     if (args_.has("trace")) {
       telemetry::TraceSink::Options topts;
       topts.block_spans = args_.get_bool("trace-blocks", false);
@@ -104,7 +91,7 @@ class Bench {
 
     report_.bench = bench_name(argc, argv);
     report_.title = title;
-    report_.clock_ghz = base_cfg_.clock_ghz;
+    report_.clock_ghz = gpu::DeviceConfig::clock_ghz;
     for (const auto& [k, v] : args_.flags()) {
       if (k == "json" || k == "trace") continue;  // output paths vary per run
       report_.args.emplace_back(k, v);
@@ -128,8 +115,11 @@ class Bench {
   /// do not depend on either.
   const gpu::DeviceConfig& device_config() const { return base_cfg_; }
 
-  /// Modeled cycles -> milliseconds at the nominal device clock.
-  double model_ms(double cycles) const { return cycles * ms_per_cycle_; }
+  /// Modeled cycles -> milliseconds at the nominal device clock (exactly
+  /// `cycles * 1e-6` at 1 GHz).
+  static double model_ms(double cycles) {
+    return cycles * (1e-6 / gpu::DeviceConfig::clock_ghz);
+  }
 
   std::string fmt_ms(double ms) const { return Table::num(ms, 2); }
 
@@ -155,10 +145,7 @@ class Bench {
         .metric("reallocs", static_cast<double>(st.reallocs))
         .metric("bytes_allocated", static_cast<double>(st.bytes_allocated))
         .metric("bytes_copied", static_cast<double>(st.bytes_copied))
-        .metric("wl_local_ops", static_cast<double>(st.wl_local_ops))
         .metric("wl_contended_ops", static_cast<double>(st.wl_contended_ops))
-        .metric("wl_steals", static_cast<double>(st.wl_steals))
-        .metric("wl_spills", static_cast<double>(st.wl_spills))
         .metric("wl_contention_cycles",
                 st.wl_contention_cycles(dev.config().atomic_cost,
                                         dev.config().atomic_concurrency));
@@ -192,7 +179,7 @@ class Bench {
     }
     if (sink_) {
       telemetry::ChromeTraceOptions topts;
-      topts.clock_ghz = base_cfg_.clock_ghz;
+      topts.clock_ghz = gpu::DeviceConfig::clock_ghz;
       topts.dropped_events = sink_->dropped();
       if (topts.dropped_events > 0) {
         std::cerr << "warning: trace ring overflow dropped "
@@ -223,7 +210,6 @@ class Bench {
   std::optional<resilience::FaultPlan> fault_plan_;
   /// Owns the --sanitize checker base_cfg_.sanitize points at (if armed).
   std::unique_ptr<analysis::Sanitizer> san_;
-  double ms_per_cycle_ = 1e-6;
   std::unique_ptr<telemetry::TraceSink> sink_;
   telemetry::BenchReport report_;
 };

@@ -53,11 +53,11 @@ fi
 echo "== tier 1: host workers (cross-worker byte-identity) =="
 # Every driver has one production path, and its contract is that answers,
 # modeled stats, and telemetry traces are byte-identical for any
-# --host-workers value (block-order commits, snapshot charging, owner-only
-# pops — DESIGN.md 6.1). ablate_worklist covers both data-driven DMR
-# worklist arms (centralized and sharded) next to the topology-driven one;
-# ablate_conflict and fig8_dmr_ablation cover the locks, 2-phase, float and
-# prealloc arms of the shared cavity commit.
+# --host-workers value (block-order commits, snapshot charging, block-order
+# pops — DESIGN.md 6.1). ablate_worklist covers the data-driven DMR driver
+# (centralized worklist) next to the topology-driven one; ablate_conflict
+# and fig8_dmr_ablation cover the locks, 2-phase, float and prealloc arms of
+# the shared cavity commit.
 for spec in "fig6_dmr_runtime --scale=64" "fig9_sp --scale=400" "fig10_pta" \
             "fig11_mst --scale=16" "ablate_worklist --triangles=10000" \
             "ablate_conflict --scale=8" "fig8_dmr_ablation --scale=400"; do
@@ -87,8 +87,10 @@ echo "== tier 1: hazard sanitizer (MorphSan clean paths + byte-identity) =="
 # scales (exit 4 = findings), and attaching the sanitizer must not perturb
 # a single modeled metric: the JSON reports diff clean against unsanitized
 # runs (wall-clock metrics carry the diff tool's default tolerance).
+# ablate_worklist is the one bench that drives the GlobalWorklist, so it is
+# the one that exercises the worklist claim/publish/pop checks.
 for spec in "fig6_dmr_runtime --scale=64" "fig9_sp --scale=400" "fig10_pta" \
-            "fig11_mst --scale=16"; do
+            "fig11_mst --scale=16" "ablate_worklist --triangles=10000"; do
   set -- $spec
   name="$1"; shift
   "$BUILD/bench/$name" "$@" --json="$SMOKE/plain.json" > /dev/null
@@ -204,7 +206,7 @@ echo "== tier 1: perf (bench snapshot vs committed baseline) =="
 # is tight, with a little slack on the aggregate cycle counts so a
 # legitimately-moved metric points at the PR that moved it (regenerate the
 # baseline with scripts/bench_snapshot.sh when the move is intentional).
-BASELINE="BENCH_2026-08-09.json"
+BASELINE="BENCH_2026-10-20.json"
 if [[ -f "$BASELINE" ]]; then
   scripts/bench_snapshot.sh "$BUILD" "$SMOKE/snapshot.json" > /dev/null
   "$BUILD"/tools/morph-report diff "$BASELINE" "$SMOKE/snapshot.json" \

@@ -403,21 +403,6 @@ void Sanitizer::on_wl_reset(const void* list) {
   if (it != lists_.end()) it->second.slots.clear();
 }
 
-void Sanitizer::on_wl_compact(const void* list, std::uint64_t head,
-                              std::uint64_t commit) {
-  std::scoped_lock lock(mu_);
-  auto it = lists_.find(list);
-  if (it == lists_.end()) return;
-  std::unordered_map<std::uint64_t, ListShadow::Slot> moved;
-  for (std::uint64_t s = head; s < commit; ++s) {
-    auto slot = it->second.slots.find(s);
-    if (slot != it->second.slots.end()) {
-      moved.emplace(s - head, slot->second);
-    }
-  }
-  it->second.slots = std::move(moved);
-}
-
 // --- memory --------------------------------------------------------------
 
 void Sanitizer::on_heap_alloc(const void* base, std::size_t bytes) {

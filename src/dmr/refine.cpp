@@ -579,33 +579,16 @@ RefineStats refine_gpu_datadriven(Mesh& m, gpu::Device& dev,
 
   // The centralized worklist. Sized generously; push failures fall back to
   // the next refill sweep. Attaching the device arms the overflow fault
-  // class when a campaign is running. With `opts.sharded_worklist` it is
-  // demoted to the shards' spill target: work normally lives in a
-  // ShardedWorklist of 4 shards per SM, partitioned so a block pops (and
-  // requeues to) its own shards, and the centralized atomic index is off
-  // the hot path.
-  const bool sharded = opts.sharded_worklist;
+  // class when a campaign is running.
   const std::size_t wl_cap =
       std::max<std::size_t>(1u << 16, m.num_slots() * 4);
   gpu::GlobalWorklist<Tri> worklist(wl_cap, &dev);
-  std::optional<gpu::ShardedWorklist<Tri>> shards;
-  if (sharded) {
-    const std::size_t S = 4 * dev.config().num_sms;
-    shards.emplace(S, wl_cap / S + 1, &dev, &worklist);
-  }
-  // Host-side fill (charges are discarded): bad triangles go to the shard of
-  // their pseudo-partition (slot ranges are spatial after the layout pass),
-  // or to the centralized list.
+  // Host-side fill (charges are discarded).
   const auto seed_worklist = [&] {
     gpu::ThreadCtx seed_ctx;
     for (Tri t = 0; t < m.num_slots(); ++t) {
       if (m.is_deleted(t) || !m.is_bad(t)) continue;
-      if (sharded) {
-        (void)shards->push(seed_ctx, shards->partition_shard(t, m.num_slots()),
-                           t);
-      } else {
-        worklist.push(seed_ctx, t);
-      }
+      worklist.push(seed_ctx, t);
     }
   };
   seed_worklist();
@@ -623,48 +606,23 @@ RefineStats refine_gpu_datadriven(Mesh& m, gpu::Device& dev,
     // Touched only in the sequential commit phase: plain counters.
     std::uint64_t round_processed = 0, round_aborted = 0;
 
-    // Per-thread bounded queues for the requeue pushes (Sec. 7.5): a full —
-    // or fault-injected — local queue spills to the centralized list
-    // instead of dropping the item. Drained back into the global list after
-    // the launch (local queues are per-round temporaries here).
-    std::vector<gpu::LocalWorklist<Tri>> locals;
-    if (opts.local_queues) {
-      locals.reserve(T);
-      for (std::uint64_t t = 0; t < T; ++t) {
-        locals.emplace_back(opts.local_queue_cap);
-        locals.back().set_spill_target(&worklist, &dev);
-      }
-    }
     // Requeue a triangle for a later round; Status intentionally dropped on
-    // a full list — the refill sweep below re-discovers lost work. Sharded:
-    // new work targets the committing block's own shard (pseudo-partition
-    // locality); a full shard spills to the centralized list and is drained
-    // back by the post-launch rebalance.
-    auto requeue = [&](gpu::ThreadCtx& ctx, std::uint32_t t, Tri v) {
-      if (sharded) {
-        (void)shards->push(ctx, shards->home_shard(ctx.block(), lc.blocks), v);
-      } else if (opts.local_queues) {
-        (void)locals[t].push(ctx, v);
-      } else {
-        (void)worklist.push(ctx, v);
-      }
+    // a full list — the refill sweep below re-discovers lost work.
+    auto requeue = [&](gpu::ThreadCtx& ctx, Tri v) {
+      (void)worklist.push(ctx, v);
     };
 
     const gpu::Phase phases[3] = {
-        // Pop + cavity building. Sharded: block-parallel — a block pops
-        // only from the shards it owns and its threads run in ascending
-        // order on one host worker, so the whole schedule is bit-identical
-        // for any host_workers. Centralized: which thread pops which item
-        // would depend on how host workers interleave on the shared index,
-        // so the phase runs blocks in ascending order on one host thread
-        // (modeled cost is unchanged); every downstream stat is then
-        // bit-identical for any host_workers too.
+        // Pop + cavity building. Which thread pops which item would depend
+        // on how host workers interleave on the shared index, so the phase
+        // runs blocks in ascending order on one host thread (modeled cost is
+        // unchanged); every downstream stat is then bit-identical for any
+        // host_workers.
         {[&](gpu::ThreadCtx& ctx) {
           const std::uint32_t t = ctx.tid();
           // Pop until a live bad triangle appears (stale ids are skipped).
           for (;;) {
-            const auto popped =
-                sharded ? shards->pop_owned(ctx, lc.blocks) : worklist.pop(ctx);
+            const auto popped = worklist.pop(ctx);
             if (!popped) return;
             const Tri x = *popped;
             ctx.work(1);
@@ -678,7 +636,7 @@ RefineStats refine_gpu_datadriven(Mesh& m, gpu::Device& dev,
           cav[t].neighborhood(hood[t]);
           charge_locality(ctx, cand[t], hood[t]);
           run.marks.race_mark(ctx, t, hood[t]);
-        }, /*sequential=*/!sharded},
+        }, /*sequential=*/true},
         {[&](gpu::ThreadCtx& ctx) {
           const std::uint32_t t = ctx.tid();
           if (cand[t] == Mesh::kNone) return;
@@ -693,49 +651,30 @@ RefineStats refine_gpu_datadriven(Mesh& m, gpu::Device& dev,
             run.bad_count +=
                 run.commit.apply(cav[t], added, &ctx, &run.marks, hood[t]);
             for (Tri a : added) {
-              if (m.is_bad(a)) requeue(ctx, t, a);
+              if (m.is_bad(a)) requeue(ctx, a);
             }
             if (!m.is_deleted(cand[t]) && m.is_bad(cand[t])) {
-              requeue(ctx, t, cand[t]);  // segment-split leftovers
+              requeue(ctx, cand[t]);  // segment-split leftovers
             }
             ++round_processed;
           } else {
-            requeue(ctx, t, cand[t]);  // aborted: requeue
+            requeue(ctx, cand[t]);  // aborted: requeue
             ++round_aborted;
           }
         }, /*sequential=*/true},
     };
     dev.launch_phases(lc, phases, opts.barrier);
 
-    // Hand leftover local-queue items back to the centralized list (they
-    // are per-round temporaries; anything that does not fit is recovered by
-    // the refill sweep).
-    if (opts.local_queues) {
-      gpu::ThreadCtx drain_ctx;
-      for (auto& lq : locals) {
-        while (auto v = lq.pop()) (void)worklist.push(drain_ctx, *v);
-      }
-    }
-    // Sharded: the deterministic steal. Spilled items are drained back from
-    // the centralized list and starved shards are fed from rich ones, all
-    // host-side in shard order, so the redistribution (and its steal/spill
-    // counters) replays identically for any host_workers value.
-    if (sharded) shards->rebalance();
     dev.note_counter("worklist.occupancy",
-                     static_cast<double>(sharded ? shards->size()
-                                                 : worklist.size()));
+                     static_cast<double>(worklist.size()));
 
     // Refill sweep when pushes were dropped or the queue ran dry while bad
     // triangles remain (also the live-lock escape: the refill reorders).
     // This sweep is the recovery ladder for dropped/overflowed pushes: no
     // work is ever lost, because every still-bad triangle is rediscovered
     // from the mesh itself.
-    const std::size_t wl_remaining =
-        (sharded ? shards->size() : worklist.size()) +
-        (sharded ? worklist.size() : 0);
-    if (run.bad_count > 0 && wl_remaining == 0) {
+    if (run.bad_count > 0 && worklist.size() == 0) {
       worklist.reset();
-      if (sharded) shards->reset();
       seed_worklist();
       ++run.stats.fallbacks;
       if (dev.faults_armed()) {

@@ -56,19 +56,6 @@ struct RefineOptions {
   /// kInvariantViolation — and validated once more after refinement
   /// converges. Off by default (full validation is O(mesh)).
   bool validate_invariants = false;
-
-  /// Data-driven driver only: give each thread a bounded per-thread local
-  /// worklist whose overflow spills to the centralized list (Sec. 7.5
-  /// fallback ladder) instead of pushing globally every time.
-  bool local_queues = false;
-  std::size_t local_queue_cap = 16;
-
-  /// Data-driven driver only: the worklist ablation arm (Sec. 7.5). false
-  /// pops from the one centralized GlobalWorklist (an atomic index claim
-  /// per push/pop); true routes work through a ShardedWorklist of 4 shards
-  /// per SM, each block popping only the shards it owns, with the
-  /// centralized list demoted to spill-of-last-resort (DESIGN.md §6.1).
-  bool sharded_worklist = false;
 };
 
 struct RefineStats {

@@ -83,7 +83,7 @@ struct DeviceConfig {
   /// single source of truth for every "model-ms" column and JSON report
   /// (1 GHz matches the paper-era Fermi ballpark). Purely a display/export
   /// scale: it never feeds back into the cost model.
-  double clock_ghz = 1.0;
+  static constexpr double clock_ghz = 1.0;
 
   /// Number of host worker threads used to execute blocks. 0 means "auto":
   /// one worker per hardware thread (std::thread::hardware_concurrency).

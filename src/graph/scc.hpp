@@ -1,10 +1,5 @@
-// Strongly connected components (iterative Tarjan).
-//
-// Used by the points-to analysis' offline cycle-elimination pass: variables
-// on a copy-edge cycle provably share their points-to sets, so the whole
-// cycle can be collapsed into one representative before solving — the
-// optimization the paper notes its CPU baselines perform ("online cycle
-// elimination and topological sort") but its GPU code omits.
+// Strongly connected components (iterative Tarjan). A graph utility that
+// no solver calls (DESIGN.md §3, "Extensions").
 #pragma once
 
 #include <cstdint>

@@ -17,7 +17,6 @@ double uniform01(std::uint64_t& state) {
 std::optional<FaultClass> class_from_name(const std::string& name) {
   if (name == "arena") return FaultClass::kArenaExhaust;
   if (name == "globalwl") return FaultClass::kGlobalWlOverflow;
-  if (name == "localwl") return FaultClass::kLocalWlOverflow;
   if (name == "launch") return FaultClass::kLaunchFail;
   if (name == "barrier") return FaultClass::kBarrierStall;
   if (name == "livelock") return FaultClass::kLivelock;
@@ -47,7 +46,6 @@ const char* fault_class_name(FaultClass cls) {
   switch (cls) {
     case FaultClass::kArenaExhaust: return "arena";
     case FaultClass::kGlobalWlOverflow: return "globalwl";
-    case FaultClass::kLocalWlOverflow: return "localwl";
     case FaultClass::kLaunchFail: return "launch";
     case FaultClass::kBarrierStall: return "barrier";
     case FaultClass::kLivelock: return "livelock";
@@ -118,8 +116,8 @@ Status parse_fault_plan(const std::string& spec, std::uint64_t seed,
     auto cls = class_from_name(rest);
     if (!cls)
       return bad_spec(clause, "unknown fault class '" + rest +
-                                  "' (expected arena|globalwl|localwl|"
-                                  "launch|barrier|livelock|journal)");
+                                  "' (expected arena|globalwl|launch|"
+                                  "barrier|livelock|journal)");
     fc.cls = *cls;
     plan.clauses.push_back(fc);
   }

@@ -15,8 +15,7 @@
 // Spec grammar (comma-separated clauses):
 //
 //   clause  := class [ '@' after ] [ 'x' count ] [ '~' prob ]
-//   class   := arena | globalwl | localwl | launch | barrier | livelock
-//            | journal
+//   class   := arena | globalwl | launch | barrier | livelock | journal
 //
 //   after   — 1-based opportunity index of the first firing (default 1)
 //   count   — number of consecutive opportunities that fire (default 1)
@@ -40,17 +39,20 @@
 
 namespace morph::resilience {
 
-/// The injectable failure classes (ISSUE 4 tentpole list).
+/// The injectable failure classes. The enumerator value keys the class's
+/// PRNG stream (FaultInjector), so values are never reused or renumbered: 2
+/// belonged to a retired class, and a recorded probabilistic campaign
+/// replays the same draws on every surviving class.
 enum class FaultClass : std::uint8_t {
   kArenaExhaust = 0,     ///< device-malloc arena exhaustion (DeviceHeap)
-  kGlobalWlOverflow,     ///< global worklist push finds it full
-  kLocalWlOverflow,      ///< per-thread local worklist overflows
-  kLaunchFail,           ///< transient kernel-launch failure
+  kGlobalWlOverflow = 1, ///< global worklist push finds it full
+  kLaunchFail = 3,       ///< transient kernel-launch failure
   kBarrierStall,         ///< one intra-kernel global barrier stalls
   kLivelock,             ///< conflict resolution: repeated priority ties
   kJournalTorn,          ///< serve WAL append crashes mid-record (torn write)
 };
 
+/// One past the largest enumerator value (the per-class array size).
 inline constexpr std::size_t kNumFaultClasses = 7;
 
 const char* fault_class_name(FaultClass cls);

@@ -480,19 +480,17 @@ TEST(RefineGpu, ModeledCyclesBitIdenticalAcrossHostWorkers) {
   // and aborted counts, and bit-identical modeled statistics. Race marks
   // resolve highest-id-wins and mesh mutation happens in a sequential
   // commit phase, so the winner set per round is interleaving-independent.
-  // The data-driven driver keeps the contract under both worklist arms:
-  // centralized pops run in block order, sharded pops are owner-only.
+  // The data-driven driver keeps the contract too: its centralized pops
+  // run in block order.
   const Mesh base = generate_input_mesh(1200, 25);
-  enum class Driver { kTopology, kDataDriven, kDataDrivenSharded };
-  for (const Driver driver : {Driver::kTopology, Driver::kDataDriven,
-                              Driver::kDataDrivenSharded}) {
+  enum class Driver { kTopology, kDataDriven };
+  for (const Driver driver : {Driver::kTopology, Driver::kDataDriven}) {
     auto run = [&](std::uint32_t workers, Mesh& m, RefineStats& st) {
       gpu::DeviceConfig cfg;
       cfg.host_workers = workers;
       gpu::Device dev(cfg);
       m = base;
       RefineOptions opts;
-      opts.sharded_worklist = driver == Driver::kDataDrivenSharded;
       st = driver == Driver::kTopology ? refine_gpu(m, dev, opts)
                                        : refine_gpu_datadriven(m, dev, opts);
       return dev.stats().modeled_cycles;
@@ -581,12 +579,12 @@ std::uint64_t mesh_digest(const Mesh& m) {
 
 // Zero-drift pins: the exact stats and the refined mesh (slot order
 // included) of every GPU refinement arm on one small mesh at one and four
-// host workers — refine_gpu under each conflict scheme, both data-driven
-// worklist arms — plus the multicore and serial baselines. Host-side rework
+// host workers — refine_gpu under each conflict scheme and the data-driven
+// driver — plus the multicore and serial baselines. Host-side rework
 // of the drivers must leave every one of these bit-identical (modeled
 // cycles compared exactly).
 TEST(RefineGpu, SmallMeshStatsArePinned) {
-  enum class Driver { kTopology, kDataDriven, kDataDrivenSharded };
+  enum class Driver { kTopology, kDataDriven };
   using core::ConflictScheme;
   struct Pin {
     const char* name;
@@ -609,9 +607,6 @@ TEST(RefineGpu, SmallMeshStatsArePinned) {
        4185708.5583809526, 5357858167082275180ull},
       {"data-driven", Driver::kDataDriven, ConflictScheme::kThreePhase, 157,
        1673, 25537, 28084148.37202381, 8588476395162553450ull},
-      {"data-driven sharded", Driver::kDataDrivenSharded,
-       ConflictScheme::kThreePhase, 85, 1586, 10843, 653049.05357142841,
-       210539082741541482ull},
   };
   const Mesh base = generate_input_mesh(800, 31);
   for (const Pin& p : pins) {
@@ -622,7 +617,6 @@ TEST(RefineGpu, SmallMeshStatsArePinned) {
       gpu::Device dev(gpu::DeviceConfig{.host_workers = workers});
       RefineOptions opts;
       opts.scheme = p.scheme;
-      opts.sharded_worklist = p.driver == Driver::kDataDrivenSharded;
       const RefineStats st = p.driver == Driver::kTopology
                                  ? refine_gpu(m, dev, opts)
                                  : refine_gpu_datadriven(m, dev, opts);

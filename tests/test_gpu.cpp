@@ -222,21 +222,6 @@ TEST(DeviceHeap, RejectsForeignChunkSize) {
   EXPECT_THROW(heap.free_chunk(std::span<int>(local, 4)), CheckError);
 }
 
-TEST(LocalWorklist, FifoAndSpillCounting) {
-  LocalWorklist<int> wl(3);
-  EXPECT_TRUE(wl.push(1));
-  EXPECT_TRUE(wl.push(2));
-  EXPECT_TRUE(wl.push(3));
-  EXPECT_FALSE(wl.push(4));
-  EXPECT_EQ(wl.spills(), 1u);
-  EXPECT_EQ(wl.pop().value(), 1);
-  EXPECT_EQ(wl.pop().value(), 2);
-  EXPECT_EQ(wl.size(), 1u);
-  wl.clear();
-  EXPECT_TRUE(wl.empty());
-  EXPECT_FALSE(wl.pop().has_value());
-}
-
 TEST(GlobalWorklist, PushPopChargesAtomics) {
   Device dev;
   GlobalWorklist<int> wl(8);
@@ -340,173 +325,6 @@ TEST(GlobalWorklist, ResetRestoresInvariant) {
   EXPECT_FALSE(wl.pop(ctx).has_value());
   EXPECT_TRUE(wl.push(ctx, 10));
   EXPECT_EQ(wl.pop(ctx).value(), 10);
-}
-
-TEST(LocalWorklist, PushAfterPopsReusesCapacity) {
-  // Regression: the capacity check used to count already-popped items, so a
-  // worklist cycling through push/pop reported spurious spills.
-  LocalWorklist<int> wl(2);
-  for (int i = 0; i < 100; ++i) {
-    EXPECT_TRUE(wl.push(i)) << "spurious spill at " << i;
-    EXPECT_EQ(wl.pop().value(), i);
-  }
-  EXPECT_EQ(wl.spills(), 0u);
-  EXPECT_TRUE(wl.push(100));
-  EXPECT_TRUE(wl.push(101));
-  EXPECT_FALSE(wl.push(102));  // genuinely full: 2 live items
-  EXPECT_EQ(wl.spills(), 1u);
-}
-
-TEST(ShardedWorklist, OwnedRangesPartitionTheShards) {
-  ShardedWorklist<int> wl(8, 4);
-  // blocks <= shards: the per-block ranges tile [0, shards) exactly once.
-  for (std::uint32_t blocks : {1u, 3u, 5u, 8u}) {
-    std::vector<int> owner(8, -1);
-    for (std::uint32_t b = 0; b < blocks; ++b) {
-      const auto r = wl.owned_range(b, blocks);
-      for (std::size_t s = r.lo; s < r.hi; ++s) {
-        EXPECT_EQ(owner[s], -1) << "shard " << s << " owned twice";
-        owner[s] = static_cast<int>(b);
-      }
-    }
-    for (std::size_t s = 0; s < 8; ++s) {
-      EXPECT_NE(owner[s], -1) << "shard " << s << " unowned at " << blocks;
-    }
-  }
-  // blocks > shards: the first `shards` blocks own one shard each, the
-  // surplus own nothing but still get a home shard for their pushes.
-  for (std::uint32_t b = 0; b < 8; ++b) {
-    const auto r = wl.owned_range(b, 20);
-    EXPECT_EQ(r.lo, b);
-    EXPECT_EQ(r.hi, b + 1u);
-  }
-  EXPECT_TRUE(wl.owned_range(8, 20).empty());
-  EXPECT_TRUE(wl.owned_range(19, 20).empty());
-  EXPECT_EQ(wl.home_shard(19, 20), 19u % 8u);
-}
-
-TEST(ShardedWorklist, PushPopChargesLocalWorkNotAtomics) {
-  Device dev;
-  ShardedWorklist<int> wl(4, 8);
-  const KernelStats ks = dev.launch({4, 2}, [&](ThreadCtx& ctx) {
-    const std::size_t home = wl.home_shard(ctx.block(), 4);
-    (void)wl.push(ctx, home, static_cast<int>(ctx.tid()));
-  });
-  EXPECT_EQ(ks.atomics, 0u);           // the whole point of sharding
-  EXPECT_EQ(ks.wl_local_ops, 8u);
-  EXPECT_EQ(ks.wl_contended_ops, 0u);
-  EXPECT_EQ(wl.size(), 8u);
-  std::vector<int> seen;
-  dev.launch({4, 2}, [&](ThreadCtx& ctx) {
-    if (auto v = wl.pop_owned(ctx, 4)) seen.push_back(*v);
-  });
-  std::sort(seen.begin(), seen.end());
-  EXPECT_EQ(seen, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7}));
-}
-
-TEST(ShardedWorklist, SpillLadderRoundTripsThroughRebalance) {
-  // A full ring falls through to the centralized list (counted as a spill);
-  // the next rebalance drains it back into the emptiest ring.
-  Device dev;
-  GlobalWorklist<int> spill(16);
-  ShardedWorklist<int> wl(2, 2, &dev, &spill);
-  ThreadCtx ctx;
-  ASSERT_TRUE(wl.push(ctx, 0, 1).ok());
-  ASSERT_TRUE(wl.push(ctx, 0, 2).ok());
-  ASSERT_TRUE(wl.push(ctx, 0, 3).ok());  // ring full -> spills
-  EXPECT_EQ(wl.spills(), 1u);
-  EXPECT_EQ(spill.size(), 1u);
-  EXPECT_EQ(wl.size(), 2u);
-  wl.rebalance();
-  EXPECT_EQ(spill.size(), 0u);
-  EXPECT_EQ(wl.size(), 3u);
-  EXPECT_EQ(dev.stats().wl_spills, 1u);
-  // Nothing lost: drain every shard.
-  std::vector<int> all;
-  for (std::size_t s = 0; s < wl.num_shards(); ++s) {
-    while (auto v = wl.pop(ctx, s)) all.push_back(*v);
-  }
-  std::sort(all.begin(), all.end());
-  EXPECT_EQ(all, (std::vector<int>{1, 2, 3}));
-}
-
-TEST(ShardedWorklist, RebalanceFeedsStarvedShardsDeterministically) {
-  // All work lands in shard 0; rebalance moves half of it to each starved
-  // shard in index order. Same content in, same layout out — run it twice.
-  auto layout = [] {
-    ShardedWorklist<int> wl(4, 64);
-    ThreadCtx ctx;
-    for (int i = 0; i < 40; ++i) (void)wl.push(ctx, 0, i);
-    wl.rebalance();
-    std::vector<std::vector<int>> per_shard(4);
-    for (std::size_t s = 0; s < 4; ++s) {
-      for (std::size_t i = 0; i < wl.shard_size(s); ++i) {
-        per_shard[s].push_back(wl.item(s, i));
-      }
-    }
-    return std::pair(per_shard, wl.steals());
-  };
-  const auto [a, steals_a] = layout();
-  const auto [b, steals_b] = layout();
-  EXPECT_EQ(a, b);
-  EXPECT_EQ(steals_a, steals_b);
-  EXPECT_GT(steals_a, 0u);
-  std::size_t total = 0;
-  for (const auto& s : a) {
-    EXPECT_FALSE(s.empty()) << "rebalance left a shard starved";
-    total += s.size();
-  }
-  EXPECT_EQ(total, 40u);
-}
-
-TEST(ShardedWorklist, OwnedPopsAndRebalanceBitIdenticalAcrossWorkers) {
-  // The sharded analogue of Launch.StatsBitIdenticalAcrossHostWorkers: a
-  // round-based driver (parallel owned pops -> sequential requeue -> host
-  // rebalance) must produce identical stats, steal counts and processing
-  // order for any worker count.
-  auto run = [](std::uint32_t workers) {
-    DeviceConfig cfg;
-    cfg.host_workers = workers;
-    Device dev(cfg);
-    ShardedWorklist<std::uint32_t> wl(8, 512, &dev);
-    ThreadCtx host;
-    for (std::uint32_t i = 0; i < 300; ++i) {
-      (void)wl.push(host, wl.partition_shard(i, 300), i);
-    }
-    std::vector<std::uint32_t> order;
-    std::mutex order_mu;
-    for (int round = 0; round < 4; ++round) {
-      std::vector<std::vector<std::uint32_t>> requeue(8);
-      const Phase phases[2] = {
-          {[&](ThreadCtx& ctx) {
-            if (ctx.thread_in_block() != 0) return;
-            std::vector<std::uint32_t> mine;
-            while (auto v = wl.pop_owned(ctx, 8)) mine.push_back(*v);
-            // Blocks finish in any order; publication happens in the
-            // sequential phase below, in block order.
-            std::scoped_lock lock(order_mu);
-            requeue[ctx.block()] = std::move(mine);
-          }, /*sequential=*/false},
-          {[&](ThreadCtx& ctx) {
-            if (ctx.thread_in_block() != 0) return;
-            for (std::uint32_t v : requeue[ctx.block()]) {
-              order.push_back(v);
-              if (v % 3 == 0 && round < 3) {  // some work respawns children
-                (void)wl.push(ctx, wl.home_shard(ctx.block(), 8), v + 1000);
-              }
-            }
-          }, /*sequential=*/true},
-      };
-      dev.launch_phases({8, 32}, std::span<const Phase>(phases));
-      wl.rebalance();
-    }
-    return std::tuple(order, wl.steals(), dev.stats().modeled_cycles,
-                      dev.stats().wl_local_ops, dev.stats().wl_steals);
-  };
-  const auto a = run(1);
-  for (std::uint32_t workers : {2u, 4u, 8u}) {
-    EXPECT_EQ(a, run(workers)) << "workers=" << workers;
-  }
 }
 
 TEST(ThreadPool, InlineModeRunsAllTasks) {

@@ -8,7 +8,7 @@
 #include "graph/generators.hpp"
 #include "graph/scc.hpp"
 #include "mst/mst.hpp"
-#include "pta/cycle_elim.hpp"
+#include "pta/solve.hpp"
 #include "sp/cnf.hpp"
 #include "sp/survey.hpp"
 #include "support/rng.hpp"
@@ -144,12 +144,11 @@ TEST_P(PtaFuzz, AllSolversAgreeOnDenseLoadStorePrograms) {
     cs.constraints.push_back(c);
   }
   const pta::PtsSets ser = pta::solve_serial(cs);
-  gpu::Device d1, d2, d3;
+  gpu::Device d1, d2;
   EXPECT_TRUE(pta::equal_pts(ser, pta::solve_gpu(cs, d1)));
   pta::PtaOptions push;
   push.push_based = true;
   EXPECT_TRUE(pta::equal_pts(ser, pta::solve_gpu(cs, d2, push)));
-  EXPECT_TRUE(pta::equal_pts(ser, pta::solve_gpu_cycle_elim(cs, d3)));
   cpu::ParallelRunner runner;
   EXPECT_TRUE(pta::equal_pts(ser, pta::solve_multicore(cs, runner)));
 }

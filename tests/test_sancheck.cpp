@@ -283,18 +283,13 @@ TEST(SeededWorklist, CorrectProtocolIsClean) {
   Sanitizer san;
   gpu::Device dev = sanitized_device(san);
   gpu::GlobalWorklist<int> wl(64, &dev);
-  gpu::ShardedWorklist<int> swl(4, 16, &dev);
   dev.launch({4, 2, "clean.worklist"}, [&](gpu::ThreadCtx& ctx) {
     ASSERT_TRUE(wl.push(ctx, static_cast<int>(ctx.tid())));
-    ASSERT_TRUE(swl.push(ctx, ctx.block() % 4, static_cast<int>(ctx.tid()))
-                    .ok());
   });
   dev.launch({4, 2, "clean.worklist"}, [&](gpu::ThreadCtx& ctx) {
     (void)wl.pop(ctx);
-    (void)swl.pop_owned(ctx, 4);
   });
   wl.reset();
-  swl.reset();
   EXPECT_TRUE(san.clean()) << san.findings().front().to_string();
 }
 
@@ -427,21 +422,15 @@ TEST(CleanApps, DmrRefineTopologyDrivenCleanAndStatsIdentical) {
   EXPECT_EQ(d_plain.stats().launches, d_san.stats().launches);
 }
 
-TEST(CleanApps, DmrRefineDataDrivenCleanBothWorklistModes) {
-  for (const bool sharded : {false, true}) {
-    dmr::Mesh m = dmr::generate_input_mesh(400, 13);
-    Sanitizer san;
-    gpu::DeviceConfig cfg;
-    cfg.sanitize = &san;
-    gpu::Device dev(cfg);
-    dmr::RefineOptions opts;
-    opts.sharded_worklist = sharded;
-    const dmr::RefineStats st = dmr::refine_gpu_datadriven(m, dev, opts);
-    EXPECT_GT(st.processed, 0u);
-    EXPECT_TRUE(san.clean())
-        << (sharded ? "sharded" : "centralized") << ": "
-        << san.findings().front().to_string();
-  }
+TEST(CleanApps, DmrRefineDataDrivenClean) {
+  dmr::Mesh m = dmr::generate_input_mesh(400, 13);
+  Sanitizer san;
+  gpu::DeviceConfig cfg;
+  cfg.sanitize = &san;
+  gpu::Device dev(cfg);
+  const dmr::RefineStats st = dmr::refine_gpu_datadriven(m, dev);
+  EXPECT_GT(st.processed, 0u);
+  EXPECT_TRUE(san.clean()) << san.findings().front().to_string();
 }
 
 TEST(CleanApps, DmrAblationSchemesClean) {
